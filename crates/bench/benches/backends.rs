@@ -1,17 +1,13 @@
-//! Packed vs scalar crossbar backend: wall-clock of the same
-//! simulated multiplication work on both cell-state representations.
+//! Wall clock of the packed crossbar backend on the dominant kernels.
 //!
-//! The two backends are cycle/wear/state bit-identical (asserted by
-//! the cim-check differential suite); this bench tracks the *wall
-//! clock* gap the bit-packed planes buy. The row multiplier is the
-//! dominant kernel of a multiply, and its arrays are caller-provided,
-//! so both backends run in one process regardless of the
-//! `CIM_XBAR_BACKEND` default. The end-to-end group runs the full
-//! three-stage multiplier on the process default (packed unless
-//! overridden).
+//! The row-multiply group times the row multiplier — the dominant
+//! kernel of a multiply — on a fresh packed array per iteration. The
+//! end-to-end group runs the full three-stage multiplier. Cycles,
+//! wear and state are checked against the `cim-check` oracle by the
+//! differential suite; this bench tracks only host time.
 
 use cim_bigint::rng::UintRng;
-use cim_crossbar::{BackendKind, Crossbar};
+use cim_crossbar::Crossbar;
 use cim_logic::multpim::RowMultiplier;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
@@ -27,17 +23,12 @@ fn bench_row_multiply_backends(c: &mut Criterion) {
         let b = rng.exact_bits(n);
         let mult = RowMultiplier::new(n);
         let cols = mult.required_cols();
-        for (label, kind) in [
-            ("packed", BackendKind::Packed),
-            ("scalar", BackendKind::Scalar),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |bench, _| {
-                bench.iter(|| {
-                    let mut array = Crossbar::with_backend(1, cols, kind).expect("array");
-                    mult.run_in(&mut array, 0, 0, &a, &b).expect("run")
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("packed", n), &n, |bench, _| {
+            bench.iter(|| {
+                let mut array = Crossbar::new(1, cols).expect("array");
+                mult.run_in(&mut array, 0, 0, &a, &b).expect("run")
+            })
+        });
     }
     group.finish();
 }

@@ -17,9 +17,10 @@
 //! * a successful [`VerifyReport`] carries the program's exact cycle
 //!   count and per-cell [`WritePressure`], flagging endurance
 //!   hotspots statically;
-//! * [`GoldMatrix`] is a second, independent implementation of the
-//!   ISA with ideal gate semantics, used as the reference side of
-//!   differential tests against the cycle-accurate executor;
+//! * [`GoldMatrix`] is the reference oracle for the ISA: a second,
+//!   independent per-cell implementation with wear counting and
+//!   stuck-at faults, the reference side of differential tests
+//!   against the cycle-accurate executor on every crossbar backend;
 //! * [`ProgramGen`] emits random *verified* programs for fuzzing the
 //!   executor/gold pair.
 //!

@@ -1,10 +1,9 @@
 //! Lane triangulation for bit-sliced batch execution: every lane of a
-//! [`RowMultiplier::run_batch_in`] batch is checked three ways — its
-//! product against the software gold multiplier, its product / cycles /
-//! per-cell state / wear against a solo run on the per-cell scalar
-//! backend, and its product against a solo run on the process-default
-//! backend (which CI flips between packed and scalar via
-//! `CIM_XBAR_BACKEND`). A mutant test cross-wires two lanes to prove
+//! [`RowMultiplier::run_batch_in`] batch is checked two ways — its
+//! product against the software gold multiplier, and its product /
+//! cycles / per-cell state / wear against a solo run on the packed
+//! backend (itself checked against the `cim-check` oracle by the
+//! differential suite). A mutant test cross-wires two lanes to prove
 //! the harness actually catches lane bleed, and a lane-isolation suite
 //! injects one adversarial lane into a full 64-lane batch and checks
 //! that every *other* lane stays bit-identical to a solo run.
@@ -12,7 +11,7 @@
 use cim_bigint::mul::schoolbook;
 use cim_bigint::Uint;
 use cim_check::{BatchGen, LaneBatch};
-use cim_crossbar::{BackendKind, Crossbar, EnduranceReport, ExecConfig, Executor, TraceEntry};
+use cim_crossbar::{Crossbar, EnduranceReport, ExecConfig, Executor, TraceEntry};
 use cim_logic::multpim::{RowMultStats, RowMultiplier};
 use proptest::prelude::*;
 
@@ -25,24 +24,19 @@ fn to_pairs(batch: &LaneBatch) -> Vec<(Uint, Uint)> {
         .collect()
 }
 
-/// Solo reference run of one operand pair on a fresh array with the
-/// given backend. Returns the product, the run stats and the final
-/// array (for state and wear comparison).
-fn solo_run(
-    width: usize,
-    kind: BackendKind,
-    a: &Uint,
-    b: &Uint,
-) -> (Uint, RowMultStats, Crossbar) {
+/// Solo reference run of one operand pair on a fresh packed array.
+/// Returns the product, the run stats and the final array (for state
+/// and wear comparison).
+fn solo_run(width: usize, a: &Uint, b: &Uint) -> (Uint, RowMultStats, Crossbar) {
     let mult = RowMultiplier::new(width);
-    let mut array = Crossbar::with_backend(1, mult.required_cols(), kind).unwrap();
+    let mut array = Crossbar::new(1, mult.required_cols()).unwrap();
     let (product, stats) = mult.run_in(&mut array, 0, 0, a, b).unwrap();
     (product, stats, array)
 }
 
-/// Triangulates every lane of `batch`: batch product vs gold, batch
-/// product/cycles/state/wear vs a scalar-backend solo run, and batch
-/// product vs a default-backend solo run. `bleed` optionally
+/// Triangulates every lane of `batch`: batch product vs gold, and
+/// batch product/cycles/state/wear vs a packed solo run. `bleed`
+/// optionally
 /// cross-wires two lanes' sensed products first — simulating the lane
 /// bleed bug this harness exists to catch.
 ///
@@ -66,23 +60,13 @@ fn triangulate(batch: &LaneBatch, bleed: Option<(usize, usize)>) -> Result<(), S
         if products[lane] != gold {
             return Err(format!("lane {lane}: batch product diverged from gold"));
         }
-        let (scalar_product, scalar_stats, scalar_array) =
-            solo_run(width, BackendKind::Scalar, a, b);
-        if products[lane] != scalar_product {
-            return Err(format!(
-                "lane {lane}: batch product diverged from scalar solo run"
-            ));
+        let (solo_product, solo_stats, solo_array) = solo_run(width, a, b);
+        if products[lane] != solo_product {
+            return Err(format!("lane {lane}: batch product diverged from solo run"));
         }
-        if stats != scalar_stats {
+        if stats != solo_stats {
             return Err(format!(
-                "lane {lane}: batch stats {stats:?} != scalar solo {scalar_stats:?}"
-            ));
-        }
-        let (default_product, default_stats, _) =
-            solo_run(width, BackendKind::default_kind(), a, b);
-        if products[lane] != default_product || stats != default_stats {
-            return Err(format!(
-                "lane {lane}: batch diverged from default-backend solo run"
+                "lane {lane}: batch stats {stats:?} != solo {solo_stats:?}"
             ));
         }
         // Per-lane final state and wear, cell for cell: lane `lane` of
@@ -92,15 +76,14 @@ fn triangulate(batch: &LaneBatch, bleed: Option<(usize, usize)>) -> Result<(), S
             let lane_cell = sliced
                 .lane_cell(lane, 0, c)
                 .map_err(|e| format!("lane {lane}: lane_cell({c}): {e}"))?;
-            let solo_cell = scalar_array.cell(0, c).unwrap();
+            let solo_cell = solo_array.cell(0, c).unwrap();
             if lane_cell != solo_cell {
                 return Err(format!(
                     "lane {lane}: cell {c} diverged: batch {lane_cell:?} vs solo {solo_cell:?}"
                 ));
             }
         }
-        if EnduranceReport::from_lane(&sliced, lane) != EnduranceReport::from_array(&scalar_array)
-        {
+        if EnduranceReport::from_lane(&sliced, lane) != EnduranceReport::from_array(&solo_array) {
             return Err(format!("lane {lane}: endurance report diverged from solo"));
         }
     }
@@ -114,7 +97,7 @@ proptest! {
     /// the bucket, adversarial extremes mixed in) triangulate clean on
     /// every lane.
     #[test]
-    fn every_lane_triangulates_against_scalar_and_gold(seed in any::<u64>()) {
+    fn every_lane_triangulates_against_solo_and_gold(seed in any::<u64>()) {
         let batch = BatchGen::new(seed).next_batch(10);
         if let Err(err) = triangulate(&batch, None) {
             prop_assert!(false, "seed {}: {}", seed, err);
@@ -195,7 +178,7 @@ fn lane_bleed_mutant_is_caught() {
 
 /// The batch operand-loading program is trace-identical to the solo
 /// loader: same op count, same trace records (a lane-word write
-/// senses as the same `Write {{ row, bits }}` event as a scalar
+/// senses as the same `Write {{ row, bits }}` event as a plain row
 /// write), same cycle cost.
 #[test]
 fn batch_load_trace_matches_solo_load_trace() {
@@ -224,7 +207,7 @@ fn batch_load_trace_matches_solo_load_trace() {
     let batch_prog = mult.load_batch_program(0, 0, &pairs);
     let (batch_cycles, batch_trace) = run(&mut sliced, &batch_prog);
 
-    let mut solo = Crossbar::with_backend(1, cols, BackendKind::Scalar).unwrap();
+    let mut solo = Crossbar::new(1, cols).unwrap();
     let solo_prog = mult.load_program(0, 0, &pairs[0].0, &pairs[0].1);
     let (solo_cycles, solo_trace) = run(&mut solo, &solo_prog);
 

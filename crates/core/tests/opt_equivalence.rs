@@ -1,8 +1,8 @@
 //! Differential equivalence of the cim-mir optimization pipeline.
 //!
 //! Every optimization level must produce the same products as the
-//! paper-exact `O0` programs — on the scalar executor path
-//! (`multiply`), the bit-sliced batch path (`multiply_batch`, all
+//! paper-exact `O0` programs — on the single-instance executor
+//! path (`multiply`), the bit-sliced batch path (`multiply_batch`, all
 //! lanes), and the squaring fast path — while never spending more
 //! cycles or cell writes. `O0` itself must be byte-for-byte the legacy
 //! pipeline: identical reports, not merely identical products.
@@ -89,7 +89,7 @@ fn batch_lanes_are_equivalent_at_max_opt() {
     for (lane, (a, b)) in pairs.iter().enumerate() {
         assert_eq!(batch.products[lane], a * b, "lane {lane}");
     }
-    // The sliced backend charges exactly the scalar backend's cycles.
+    // The sliced backend charges exactly the packed backend's cycles.
     let solo = mult.multiply(&pairs[0].0, &pairs[0].1).unwrap();
     assert_eq!(batch.stage_cycles, solo.report.stage_cycles);
     assert_eq!(batch.total_latency, solo.report.total_latency);

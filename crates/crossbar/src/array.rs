@@ -3,12 +3,13 @@
 //! Methods on [`Crossbar`] mutate state and update per-cell wear; clock
 //! cycles are charged by the [`crate::Executor`] that drives them.
 //!
-//! Two interchangeable backends store the state (see [`BackendKind`]):
-//! the original per-cell [`Cell`] vector, and a bit-packed plane of
-//! `u64` words per row that executes row-parallel MAGIC as `O(words)`
-//! bitwise ops. Both are observationally identical — values, faults,
-//! wear counts and error ordering — which the `cim-check` differential
-//! suite asserts case by case.
+//! Two backends store the state (see [`BackendKind`]): a bit-packed
+//! plane of `u64` words per row that executes row-parallel MAGIC as
+//! `O(words)` bitwise ops, and a lane-transposed batch plane. On a
+//! single instance both are observationally identical — values,
+//! faults, wear counts and error ordering — which the `cim-check`
+//! differential suite asserts case by case against its reference
+//! oracle.
 
 use crate::cell::{Cell, Fault};
 use crate::error::{Axis, CrossbarError};
@@ -16,18 +17,12 @@ use crate::geometry::{ColRange, Region};
 use crate::packed::PackedPlanes;
 use crate::sliced::{SlicedPlanes, MAX_LANES};
 use crate::PRACTICAL_LINE_LIMIT;
-use std::sync::OnceLock;
 
-/// Which state backend a [`Crossbar`] uses.
-///
-/// The default is [`BackendKind::Packed`]; set the environment
-/// variable `CIM_XBAR_BACKEND=scalar` to flip new arrays back to the
-/// per-cell backend (read once per process), or construct explicitly
-/// via [`Crossbar::with_backend`].
+/// Which state backend a [`Crossbar`] uses: [`Crossbar::new`] builds
+/// [`BackendKind::Packed`]; [`Crossbar::with_backend`] picks
+/// explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// One [`Cell`] struct per bit — simple, the differential gold.
-    Scalar,
     /// `u64` bit-plane words per row, sparse fault masks, lazy wear.
     Packed,
     /// Lane-transposed batch backend: one `u64` word per cell, each
@@ -37,21 +32,8 @@ pub enum BackendKind {
     Sliced,
 }
 
-impl BackendKind {
-    /// The process-wide default backend: `Packed`, unless the
-    /// `CIM_XBAR_BACKEND` environment variable says `scalar`.
-    pub fn default_kind() -> BackendKind {
-        static DEFAULT: OnceLock<BackendKind> = OnceLock::new();
-        *DEFAULT.get_or_init(|| match std::env::var("CIM_XBAR_BACKEND").as_deref() {
-            Ok("scalar") => BackendKind::Scalar,
-            _ => BackendKind::Packed,
-        })
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Backing {
-    Scalar(Vec<Cell>),
     Packed(PackedPlanes),
     Sliced(SlicedPlanes),
 }
@@ -69,24 +51,14 @@ pub struct Crossbar {
 
 impl Crossbar {
     /// Creates a crossbar of `rows × cols` cells, all logic 0, on the
-    /// process default backend ([`BackendKind::default_kind`]).
+    /// packed backend.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::EmptyDimension`] if either dimension is
     /// zero.
     pub fn new(rows: usize, cols: usize) -> Result<Self, CrossbarError> {
-        Self::with_backend(rows, cols, BackendKind::default_kind())
-    }
-
-    /// Creates a crossbar on the scalar per-cell backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::EmptyDimension`] if either dimension is
-    /// zero.
-    pub fn new_scalar(rows: usize, cols: usize) -> Result<Self, CrossbarError> {
-        Self::with_backend(rows, cols, BackendKind::Scalar)
+        Self::with_backend(rows, cols, BackendKind::Packed)
     }
 
     /// Creates a crossbar on an explicit backend.
@@ -104,7 +76,6 @@ impl Crossbar {
             return Err(CrossbarError::EmptyDimension);
         }
         let state = match kind {
-            BackendKind::Scalar => Backing::Scalar(vec![Cell::default(); rows * cols]),
             BackendKind::Packed => Backing::Packed(PackedPlanes::new(rows, cols)),
             BackendKind::Sliced => Backing::Sliced(SlicedPlanes::new(rows, cols, MAX_LANES)),
         };
@@ -138,12 +109,12 @@ impl Crossbar {
         })
     }
 
-    /// Batch lanes this array carries: 1 on the scalar/packed
-    /// backends, the constructed lane count on the sliced backend.
+    /// Batch lanes this array carries: 1 on the packed backend, the
+    /// constructed lane count on the sliced backend.
     pub fn lanes(&self) -> usize {
         match &self.state {
+            Backing::Packed(_) => 1,
             Backing::Sliced(p) => p.lanes(),
-            _ => 1,
         }
     }
 
@@ -159,7 +130,6 @@ impl Crossbar {
     /// The backend this array runs on.
     pub fn backend_kind(&self) -> BackendKind {
         match &self.state {
-            Backing::Scalar(_) => BackendKind::Scalar,
             Backing::Packed(_) => BackendKind::Packed,
             Backing::Sliced(_) => BackendKind::Sliced,
         }
@@ -178,10 +148,6 @@ impl Crossbar {
     /// Total number of memristors — the paper's "area" metric.
     pub fn cell_count(&self) -> usize {
         self.rows * self.cols
-    }
-
-    fn idx(&self, row: usize, col: usize) -> usize {
-        row * self.cols + col
     }
 
     fn check_row(&self, row: usize) -> Result<(), CrossbarError> {
@@ -215,7 +181,6 @@ impl Crossbar {
         self.check_row(row)?;
         self.check_cols(&(col..col + 1))?;
         Ok(match &self.state {
-            Backing::Scalar(cells) => cells[self.idx(row, col)].read(),
             Backing::Packed(p) => p.read_bit(row, col),
             Backing::Sliced(p) => p.read_bit(row, col),
         })
@@ -251,10 +216,6 @@ impl Crossbar {
         self.check_row(row)?;
         self.check_cols(&cols)?;
         match &self.state {
-            Backing::Scalar(cells) => {
-                out.clear();
-                out.extend(cols.map(|c| cells[row * self.cols + c].read()));
-            }
             Backing::Packed(p) => p.read_into(row, cols, out),
             Backing::Sliced(p) => p.read_into(row, cols, out),
         }
@@ -277,16 +238,6 @@ impl Crossbar {
         self.check_row(row)?;
         self.check_cols(&cols)?;
         match &self.state {
-            Backing::Scalar(cells) => {
-                let len = cols.len();
-                out.clear();
-                out.resize(len.div_ceil(64), 0);
-                for (j, c) in cols.enumerate() {
-                    if cells[row * self.cols + c].read() {
-                        out[j / 64] |= 1 << (j % 64);
-                    }
-                }
-            }
             Backing::Packed(p) => p.read_words_into(row, cols, out),
             Backing::Sliced(p) => p.read_words_into(row, cols, out),
         }
@@ -307,11 +258,6 @@ impl Crossbar {
         self.check_row(row)?;
         self.check_cols(&(col_offset..col_offset + bits.len()))?;
         match &mut self.state {
-            Backing::Scalar(cells) => {
-                for (i, &b) in bits.iter().enumerate() {
-                    cells[row * self.cols + col_offset + i].write(b);
-                }
-            }
             Backing::Packed(p) => p.write_bits(row, col_offset, bits),
             Backing::Sliced(p) => p.write_bits(row, col_offset, bits),
         }
@@ -335,12 +281,6 @@ impl Crossbar {
         self.check_row(row)?;
         self.check_cols(&(col_offset..col_offset + len))?;
         match &mut self.state {
-            Backing::Scalar(cells) => {
-                for j in 0..len {
-                    let bit = (words.get(j / 64).copied().unwrap_or(0) >> (j % 64)) & 1 == 1;
-                    cells[row * self.cols + col_offset + j].write(bit);
-                }
-            }
             Backing::Packed(p) => p.write_words(row, col_offset, words, len),
             Backing::Sliced(p) => p.write_words(row, col_offset, words, len),
         }
@@ -352,8 +292,8 @@ impl Crossbar {
     /// [`Crossbar::write_row`]: bit `l` of `lane_words[j]` is the bit
     /// written into lane `l` of column `col_offset + j`. Every cell in
     /// the span wears exactly once, on every lane, same as a broadcast
-    /// row write. On the scalar/packed backends this degrades to
-    /// writing the lane-0 bits.
+    /// row write. On the packed backend this degrades to writing the
+    /// lane-0 bits.
     ///
     /// # Errors
     ///
@@ -378,8 +318,8 @@ impl Crossbar {
     /// lanes selected by `mask` take the new values and wear; the other
     /// lanes keep both value and wear untouched — the primitive behind
     /// data-dependent batch steps (a shift-add iteration only pulses
-    /// the lanes whose multiplier bit is set). On the scalar/packed
-    /// backends lane 0 is written iff bit 0 of `mask` is set.
+    /// the lanes whose multiplier bit is set). On the packed backend
+    /// lane 0 is written iff bit 0 of `mask` is set.
     ///
     /// # Errors
     ///
@@ -427,13 +367,6 @@ impl Crossbar {
         }
         self.check_cols(&region.cols)?;
         match &mut self.state {
-            Backing::Scalar(cells) => {
-                for row in region.rows.clone() {
-                    for col in region.cols.clone() {
-                        cells[row * self.cols + col].add_wear(pulses);
-                    }
-                }
-            }
             Backing::Packed(p) => {
                 for row in region.rows.clone() {
                     p.wear.add(row, region.cols.clone(), pulses);
@@ -450,8 +383,8 @@ impl Crossbar {
 
     /// Records one write pulse of wear over the span for the lanes in
     /// `mask` — the wear half of [`Crossbar::write_row_lanes_masked`]
-    /// — without touching values. On the scalar/packed backends the
-    /// cells wear iff bit 0 of `mask` is set.
+    /// — without touching values. On the packed backend the cells
+    /// wear iff bit 0 of `mask` is set.
     ///
     /// # Errors
     ///
@@ -471,13 +404,6 @@ impl Crossbar {
                     p.wear.add(row, cols, 1);
                 }
             }
-            Backing::Scalar(cells) => {
-                if mask & 1 == 1 {
-                    for col in cols {
-                        cells[row * self.cols + col].add_wear(1);
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -485,8 +411,8 @@ impl Crossbar {
     /// Stores one lane word per column for the lanes in `mask` — the
     /// value half of [`Crossbar::write_row_lanes_masked`] — without
     /// recording any wear. Fault lanes keep their value. On the
-    /// scalar/packed backends the lane-0 bits are stored iff bit 0 of
-    /// `mask` is set.
+    /// packed backend the lane-0 bits are stored iff bit 0 of `mask`
+    /// is set.
     ///
     /// # Errors
     ///
@@ -509,20 +435,13 @@ impl Crossbar {
                     }
                 }
             }
-            Backing::Scalar(cells) => {
-                if mask & 1 == 1 {
-                    for (j, &w) in words.iter().enumerate() {
-                        cells[row * self.cols + col_offset + j].store(w & 1 == 1);
-                    }
-                }
-            }
         }
         Ok(())
     }
 
     /// Reads the span of `row` as one fault-adjusted *lane word* per
     /// column — the bulk sense path of batch arithmetic. On the
-    /// scalar/packed backends each word is 0 or 1 (the lane-0 bit).
+    /// packed backend each word is 0 or 1 (the lane-0 bit).
     ///
     /// # Errors
     ///
@@ -540,7 +459,7 @@ impl Crossbar {
                 p.read_lane_words(row, cols, out);
                 Ok(())
             }
-            _ => {
+            Backing::Packed(_) => {
                 out.clear();
                 out.reserve(cols.len());
                 for col in cols {
@@ -552,7 +471,7 @@ impl Crossbar {
     }
 
     /// Reads all lanes of one cell as a fault-adjusted lane word (bit
-    /// `l` = lane `l`); 0 or 1 on the scalar/packed backends.
+    /// `l` = lane `l`); 0 or 1 on the packed backend.
     ///
     /// # Errors
     ///
@@ -562,7 +481,7 @@ impl Crossbar {
         self.check_cols(&(col..col + 1))?;
         Ok(match &self.state {
             Backing::Sliced(p) => p.read_word(row, col),
-            _ => self.read_cell(row, col)? as u64,
+            Backing::Packed(_) => self.read_cell(row, col)? as u64,
         })
     }
 
@@ -587,7 +506,7 @@ impl Crossbar {
                 p.read_lane_into(lane, row, cols, &mut out);
                 Ok(out)
             }
-            _ => self.read_row_bits(row, cols),
+            Backing::Packed(_) => self.read_row_bits(row, cols),
         }
     }
 
@@ -619,13 +538,6 @@ impl Crossbar {
         }
         self.check_cols(&region.cols)?;
         match &mut self.state {
-            Backing::Scalar(cells) => {
-                for row in region.rows.clone() {
-                    for col in region.cols.clone() {
-                        cells[row * self.cols + col].write(value);
-                    }
-                }
-            }
             Backing::Packed(p) => p.fill(region.rows.clone(), region.cols.clone(), value),
             Backing::Sliced(p) => p.fill(region.rows.clone(), region.cols.clone(), value),
         }
@@ -663,17 +575,6 @@ impl Crossbar {
         self.check_row(out)?;
         self.check_cols(&cols)?;
         match &mut self.state {
-            Backing::Scalar(cells) => {
-                for col in cols {
-                    let any = inputs.iter().any(|&r| cells[r * self.cols + col].read());
-                    let out_idx = out * self.cols + col;
-                    if strict && !cells[out_idx].read() {
-                        return Err(CrossbarError::OutputNotInitialized { row: out, col });
-                    }
-                    cells[out_idx].magic_drive(!any);
-                }
-                Ok(())
-            }
             Backing::Packed(p) => p
                 .nor_rows(inputs, out, cols, strict)
                 .map_err(|col| CrossbarError::OutputNotInitialized { row: out, col }),
@@ -717,17 +618,6 @@ impl Crossbar {
             });
         }
         match &mut self.state {
-            Backing::Scalar(cells) => {
-                for row in rows {
-                    let any = in_cols.iter().any(|&c| cells[row * self.cols + c].read());
-                    let out_idx = row * self.cols + out_col;
-                    if strict && !cells[out_idx].read() {
-                        return Err(CrossbarError::OutputNotInitialized { row, col: out_col });
-                    }
-                    cells[out_idx].magic_drive(!any);
-                }
-                Ok(())
-            }
             Backing::Packed(p) => p
                 .nor_cols(in_cols, out_col, rows, strict)
                 .map_err(|row| CrossbarError::OutputNotInitialized { row, col: out_col }),
@@ -788,24 +678,6 @@ impl Crossbar {
             });
         }
         match &mut self.state {
-            Backing::Scalar(cells) => {
-                for row in rows {
-                    for base in (cols.start..cols.end).step_by(part_width) {
-                        let any = in_offsets
-                            .iter()
-                            .any(|&off| cells[row * self.cols + base + off].read());
-                        let out_idx = row * self.cols + base + out_offset;
-                        if strict && !cells[out_idx].read() {
-                            return Err(CrossbarError::OutputNotInitialized {
-                                row,
-                                col: base + out_offset,
-                            });
-                        }
-                        cells[out_idx].magic_drive(!any);
-                    }
-                }
-                Ok(())
-            }
             Backing::Packed(p) => p
                 .nor_cols_partitioned(rows, cols, part_width, in_offsets, out_offset, strict)
                 .map_err(|(row, col)| CrossbarError::OutputNotInitialized { row, col }),
@@ -840,7 +712,7 @@ impl Crossbar {
         self.check_row(dst)?;
         self.check_cols(&cols)?;
         // The sliced backend moves whole lane words per column; the
-        // packed/scalar path goes through the bit-plane word form.
+        // packed path goes through the bit-plane word form.
         if let Backing::Sliced(p) = &mut self.state {
             p.shift(src, dst, cols, offset, fill);
             return Ok(());
@@ -881,7 +753,6 @@ impl Crossbar {
         self.check_row(row)?;
         self.check_cols(&(col..col + 1))?;
         match &mut self.state {
-            Backing::Scalar(cells) => cells[row * self.cols + col].set_fault(fault),
             Backing::Packed(p) => p.set_fault(row, col, fault),
             Backing::Sliced(p) => p.set_fault(row, col, fault),
         }
@@ -889,7 +760,7 @@ impl Crossbar {
     }
 
     /// Injects (or clears) a stuck-at fault on a single lane of a
-    /// cell. On the scalar/packed backends only lane 0 exists and
+    /// cell. On the packed backend only lane 0 exists and
     /// this is [`Crossbar::inject_fault`].
     ///
     /// # Errors
@@ -924,7 +795,7 @@ impl Crossbar {
         self.check_cols(&(col..col + 1))?;
         Ok(match &self.state {
             Backing::Sliced(p) => p.lane_cell(lane, row, col),
-            _ => self.cell_unchecked(row, col),
+            Backing::Packed(_) => self.cell_unchecked(row, col),
         })
     }
 
@@ -932,17 +803,17 @@ impl Crossbar {
     pub(crate) fn lane_wear_stats(&self, lane: usize) -> (u64, u64, usize) {
         match &self.state {
             Backing::Sliced(p) => p.lane_wear_stats(lane),
-            _ => self.wear_stats(),
+            Backing::Packed(_) => self.wear_stats(),
         }
     }
 
     /// Per-lane `(max, total, touched)` wear statistics for all 64
     /// lane slots in one sweep (only the active lanes are meaningful);
-    /// on the scalar/packed backends a single-entry vector.
+    /// on the packed backend a single-entry vector.
     pub(crate) fn lane_wear_stats_all(&self) -> Vec<(u64, u64, usize)> {
         match &self.state {
             Backing::Sliced(p) => p.lane_wear_stats_all(),
-            _ => vec![self.wear_stats()],
+            Backing::Packed(_) => vec![self.wear_stats()],
         }
     }
 
@@ -962,9 +833,6 @@ impl Crossbar {
         self.check_row(row)?;
         self.check_cols(&cols)?;
         Ok(match &self.state {
-            Backing::Scalar(cells) => cols
-                .clone()
-                .all(|c| cells[row * self.cols + c].fault().is_none()),
             Backing::Packed(p) => p.region_fault_free(row, cols),
             Backing::Sliced(p) => p.region_fault_free(row, cols),
         })
@@ -972,15 +840,14 @@ impl Crossbar {
 
     fn cell_unchecked(&self, row: usize, col: usize) -> Cell {
         match &self.state {
-            Backing::Scalar(cells) => cells[row * self.cols + col],
             Backing::Packed(p) => p.cell(row, col),
             Backing::Sliced(p) => p.cell(row, col),
         }
     }
 
-    /// The cell view at a coordinate (wear inspection, tests). On the
-    /// packed backend the [`Cell`] is synthesized from the bit planes;
-    /// it is a snapshot, not a live reference.
+    /// The cell view at a coordinate (wear inspection, tests). The
+    /// [`Cell`] is synthesized from the backend's bit planes; it is a
+    /// snapshot, not a live reference.
     ///
     /// # Errors
     ///
@@ -1003,18 +870,6 @@ impl Crossbar {
     /// [`crate::EnduranceReport::from_array`].
     pub(crate) fn wear_stats(&self) -> (u64, u64, usize) {
         match &self.state {
-            Backing::Scalar(cells) => {
-                let (mut max, mut total, mut touched) = (0u64, 0u64, 0usize);
-                for cell in cells {
-                    let w = cell.writes();
-                    max = max.max(w);
-                    total += w;
-                    if w > 0 {
-                        touched += 1;
-                    }
-                }
-                (max, total, touched)
-            }
             Backing::Packed(p) => {
                 let (mut max, mut total, mut touched) = (0u64, 0u64, 0usize);
                 for row in 0..self.rows {
@@ -1045,17 +900,6 @@ impl Crossbar {
     /// the sliced backend the per-cell snapshot aggregates all lanes.
     pub fn row_wear_totals(&self) -> Vec<(u64, u64)> {
         match &self.state {
-            Backing::Scalar(cells) => (0..self.rows)
-                .map(|r| {
-                    let (mut max, mut total) = (0u64, 0u64);
-                    for cell in &cells[r * self.cols..(r + 1) * self.cols] {
-                        let w = cell.writes();
-                        max = max.max(w);
-                        total += w;
-                    }
-                    (max, total)
-                })
-                .collect(),
             Backing::Packed(p) => (0..self.rows)
                 .map(|r| {
                     let (mut max, mut total) = (0u64, 0u64);
@@ -1083,11 +927,6 @@ impl Crossbar {
     /// Clears all wear counters (keeps values and faults).
     pub fn reset_wear(&mut self) {
         match &mut self.state {
-            Backing::Scalar(cells) => {
-                for c in cells {
-                    c.reset_wear();
-                }
-            }
             Backing::Packed(p) => p.wear.reset(),
             Backing::Sliced(p) => p.reset_wear(),
         }
@@ -1141,7 +980,8 @@ impl Crossbar {
 
 /// Semantic equality: same geometry and, per cell, the same underlying
 /// value, wear count and fault — regardless of which backend stores
-/// them. A packed array equals its scalar twin after any op sequence.
+/// them. A packed array equals a 1-lane sliced twin after any op
+/// sequence.
 impl PartialEq for Crossbar {
     fn eq(&self, other: &Self) -> bool {
         self.rows == other.rows
@@ -1171,7 +1011,7 @@ mod tests {
             CrossbarError::EmptyDimension
         );
         assert_eq!(
-            Crossbar::new_scalar(0, 4).unwrap_err(),
+            Crossbar::new_sliced(0, 4, 1).unwrap_err(),
             CrossbarError::EmptyDimension
         );
     }
@@ -1179,11 +1019,7 @@ mod tests {
     #[test]
     fn row_wear_totals_match_cell_walk_on_all_backends() {
         type MakeCrossbar = fn(usize, usize) -> Result<Crossbar, CrossbarError>;
-        let makes: [MakeCrossbar; 3] = [
-            Crossbar::new,
-            Crossbar::new_scalar,
-            |r, c| Crossbar::new_sliced(r, c, 1),
-        ];
+        let makes: [MakeCrossbar; 2] = [Crossbar::new, |r, c| Crossbar::new_sliced(r, c, 1)];
         for make in makes {
             let mut x = make(3, 4).unwrap();
             x.write_row(0, 0, &[true, true, false, true]).unwrap();
@@ -1395,6 +1231,7 @@ mod tests {
         assert_eq!(x.cell(1, 0).unwrap().writes(), 2); // init + magic drive
         x.reset_wear();
         assert_eq!(x.cell(1, 0).unwrap().writes(), 0);
+        assert!(x.read_cell(0, 0).unwrap(), "values survive a wear reset");
     }
 
     #[test]
@@ -1413,85 +1250,32 @@ mod tests {
         assert_eq!(s, "101\n000\n");
     }
 
-    // ---- backend equivalence ----
-
-    /// Drives the same op soup on both backends, returning the pair.
-    fn twin_run(rows: usize, cols: usize, f: impl Fn(&mut Crossbar)) -> (Crossbar, Crossbar) {
-        let mut packed = Crossbar::with_backend(rows, cols, BackendKind::Packed).unwrap();
-        let mut scalar = Crossbar::with_backend(rows, cols, BackendKind::Scalar).unwrap();
-        f(&mut packed);
-        f(&mut scalar);
-        (packed, scalar)
-    }
-
-    #[test]
-    fn backends_agree_on_mixed_ops() {
-        let (packed, scalar) = twin_run(4, 130, |x| {
-            let pattern: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
-            x.write_row(0, 0, &pattern).unwrap();
-            x.write_row(1, 5, &pattern[..100]).unwrap();
-            x.init_region(&Region::new(2..4, 0..130)).unwrap();
-            x.nor_rows(&[0, 1], 2, 3..120, true).unwrap();
-            x.shift_row(2, 0..130, 7).unwrap();
-            x.shift_row_to(2, 3, 10..80, -3, true).unwrap();
-            x.nor_cols(&[0, 64, 129], 65, 0..4, false).unwrap();
-            x.reset_region(&Region::new(0..1, 60..70)).unwrap();
-        });
-        assert_eq!(packed.backend_kind(), BackendKind::Packed);
-        assert_eq!(scalar.backend_kind(), BackendKind::Scalar);
-        assert_eq!(packed, scalar, "cross-backend semantic equality");
-        for r in 0..4 {
-            assert_eq!(
-                packed.read_row_bits(r, 0..130).unwrap(),
-                scalar.read_row_bits(r, 0..130).unwrap()
-            );
-            for c in 0..130 {
-                assert_eq!(
-                    packed.cell(r, c).unwrap().writes(),
-                    scalar.cell(r, c).unwrap().writes(),
-                    "wear at ({r},{c})"
-                );
-            }
-        }
-        assert_eq!(packed.wear_summary(), scalar.wear_summary());
-    }
-
     #[test]
     fn backends_agree_on_strict_failure_prefix() {
         // Output row initialized only on [0, 70): strict NOR over
         // 0..100 fails at column 70, after driving (and wearing)
-        // exactly the first 70 columns — on both backends.
-        let (packed, scalar) = twin_run(3, 128, |x| {
+        // exactly the first 70 columns.
+        for kind in [BackendKind::Packed, BackendKind::Sliced] {
+            let mut x = Crossbar::with_backend(3, 128, kind).unwrap();
             x.write_row(0, 0, &[true; 128]).unwrap();
             x.init_region(&Region::new(2..3, 0..70)).unwrap();
             let err = x.nor_rows(&[0, 1], 2, 0..100, true).unwrap_err();
             assert_eq!(
                 err,
-                CrossbarError::OutputNotInitialized { row: 2, col: 70 }
+                CrossbarError::OutputNotInitialized { row: 2, col: 70 },
+                "{kind:?}"
             );
-        });
-        assert_eq!(packed, scalar);
-        assert_eq!(packed.cell(2, 69).unwrap().writes(), 2, "driven before the failure");
-        assert_eq!(packed.cell(2, 70).unwrap().writes(), 0, "failing column untouched");
-    }
-
-    #[test]
-    fn backends_agree_under_faults() {
-        let (packed, scalar) = twin_run(3, 80, |x| {
-            x.inject_fault(0, 66, Some(Fault::StuckAt1)).unwrap();
-            x.inject_fault(2, 3, Some(Fault::StuckAt0)).unwrap();
-            x.write_row(0, 0, &[false; 80]).unwrap();
-            x.init_region(&Region::new(2..3, 0..80)).unwrap();
-            x.nor_rows(&[0], 2, 0..80, false).unwrap();
-            x.inject_fault(0, 66, None).unwrap();
-        });
-        assert_eq!(packed, scalar);
-        // Stuck-at-1 input pulls NOR to 0 at column 66 only.
-        assert!(packed.read_cell(2, 65).unwrap());
-        assert!(!packed.read_cell(2, 66).unwrap());
-        // The stuck-at-0 output stays 0 but wears.
-        assert!(!packed.read_cell(2, 3).unwrap());
-        assert_eq!(packed.cell(2, 3).unwrap().writes(), 2);
+            assert_eq!(
+                x.cell(2, 69).unwrap().writes(),
+                2,
+                "{kind:?}: driven before the failure"
+            );
+            assert_eq!(
+                x.cell(2, 70).unwrap().writes(),
+                0,
+                "{kind:?}: failing column untouched"
+            );
+        }
     }
 
     #[test]
@@ -1506,7 +1290,7 @@ mod tests {
 
     #[test]
     fn word_level_read_write_both_backends() {
-        for kind in [BackendKind::Scalar, BackendKind::Packed] {
+        for kind in [BackendKind::Packed, BackendKind::Sliced] {
             let mut x = Crossbar::with_backend(2, 150, kind).unwrap();
             let words = [0xAAAA_5555_F0F0_0F0Fu64, 0x1234_5678_9ABC_DEF0];
             x.write_row_words(1, 17, &words, 101).unwrap();
@@ -1528,18 +1312,14 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_packed_and_scalar_opt_in_works() {
-        // The env override is read once per process, so only assert
-        // the constructors' explicit behaviour here.
+    fn new_builds_packed_and_with_backend_is_explicit() {
+        let packed = Crossbar::new(1, 1).unwrap();
+        assert_eq!(packed.backend_kind(), BackendKind::Packed);
         assert_eq!(
-            Crossbar::new_scalar(1, 1).unwrap().backend_kind(),
-            BackendKind::Scalar
-        );
-        assert_eq!(
-            Crossbar::with_backend(1, 1, BackendKind::Packed)
+            Crossbar::with_backend(1, 1, BackendKind::Sliced)
                 .unwrap()
                 .backend_kind(),
-            BackendKind::Packed
+            BackendKind::Sliced
         );
     }
 }

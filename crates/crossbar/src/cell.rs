@@ -1,4 +1,5 @@
-//! A single memristor cell: stored bit, wear counter, optional fault.
+//! A single memristor cell snapshot: stored bit, wear counter, optional
+//! fault.
 
 /// A stuck-at fault of a memristor cell.
 ///
@@ -13,7 +14,13 @@ pub enum Fault {
     StuckAt1,
 }
 
-/// One memristor: a bit of state plus bookkeeping.
+/// A read-only snapshot of one memristor: the stored bit, the write
+/// pulses it has received and its injected fault, if any.
+///
+/// Backends synthesize these from their bit planes
+/// ([`crate::Crossbar::cell`]); two snapshots are equal iff the raw
+/// value, wear count and fault all match, which is what cross-backend
+/// and oracle comparisons assert.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Cell {
     value: bool,
@@ -22,8 +29,9 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Assembles a cell snapshot from backend planes (packed backend).
-    pub(crate) fn from_parts(value: bool, writes: u64, fault: Option<Fault>) -> Cell {
+    /// Assembles a snapshot from its raw stored bit, write count and
+    /// fault.
+    pub fn from_parts(value: bool, writes: u64, fault: Option<Fault>) -> Cell {
         Cell {
             value,
             writes,
@@ -31,47 +39,13 @@ impl Cell {
         }
     }
 
-    /// The stored bit, accounting for a stuck-at fault if present.
+    /// The sensed bit: the stored bit, or the stuck value of a faulty
+    /// cell.
     pub fn read(&self) -> bool {
         match self.fault {
             Some(Fault::StuckAt0) => false,
             Some(Fault::StuckAt1) => true,
             None => self.value,
-        }
-    }
-
-    /// Applies a write pulse. Counts towards wear even if the value is
-    /// unchanged (set/reset pulses stress the filament regardless).
-    /// A faulty cell ignores the new value but still wears.
-    pub fn write(&mut self, value: bool) {
-        self.writes += 1;
-        if self.fault.is_none() {
-            self.value = value;
-        }
-    }
-
-    /// MAGIC conditional pull-down: the output memristor can only move
-    /// towards logic 0; it stays 1 only if the gate result is 1.
-    /// Counts as one write pulse (current flows through the cell).
-    pub fn magic_drive(&mut self, gate_result: bool) {
-        self.writes += 1;
-        if self.fault.is_none() {
-            self.value &= gate_result;
-        }
-    }
-
-    /// Adds `pulses` write pulses of wear without changing the value —
-    /// the wear half of a write, for batch fast paths that account the
-    /// two effects separately.
-    pub(crate) fn add_wear(&mut self, pulses: u64) {
-        self.writes += pulses;
-    }
-
-    /// Sets the value without wear — the value half of a write. A
-    /// faulty cell keeps its value, exactly as under [`Cell::write`].
-    pub(crate) fn store(&mut self, value: bool) {
-        if self.fault.is_none() {
-            self.value = value;
         }
     }
 
@@ -83,17 +57,6 @@ impl Cell {
     /// The injected fault, if any.
     pub fn fault(&self) -> Option<Fault> {
         self.fault
-    }
-
-    /// Injects (or clears, with `None`) a stuck-at fault.
-    pub fn set_fault(&mut self, fault: Option<Fault>) {
-        self.fault = fault;
-    }
-
-    /// Clears the wear counter (used when reusing an array between
-    /// independent experiments).
-    pub fn reset_wear(&mut self) {
-        self.writes = 0;
     }
 }
 
@@ -108,46 +71,9 @@ mod tests {
     }
 
     #[test]
-    fn write_updates_value_and_wear() {
-        let mut c = Cell::default();
-        c.write(true);
-        assert!(c.read());
-        assert_eq!(c.writes(), 1);
-        c.write(true); // same value still wears
-        assert_eq!(c.writes(), 2);
-    }
-
-    #[test]
-    fn magic_drive_only_pulls_down() {
-        let mut c = Cell::default();
-        c.write(true);
-        c.magic_drive(true);
-        assert!(c.read(), "result 1 keeps the initialized 1");
-        c.magic_drive(false);
-        assert!(!c.read(), "result 0 pulls the cell down");
-        c.magic_drive(true);
-        assert!(!c.read(), "MAGIC can never pull a cell back up");
-    }
-
-    #[test]
     fn stuck_at_faults_dominate_reads() {
-        let mut c = Cell::default();
-        c.set_fault(Some(Fault::StuckAt1));
-        assert!(c.read());
-        c.write(false);
-        assert!(c.read(), "write cannot heal a stuck cell");
-        c.set_fault(Some(Fault::StuckAt0));
-        assert!(!c.read());
-        c.set_fault(None);
-        assert!(!c.read(), "underlying value was never changed while faulty");
-    }
-
-    #[test]
-    fn reset_wear() {
-        let mut c = Cell::default();
-        c.write(true);
-        c.reset_wear();
-        assert_eq!(c.writes(), 0);
-        assert!(c.read(), "value survives wear reset");
+        assert!(Cell::from_parts(false, 0, Some(Fault::StuckAt1)).read());
+        assert!(!Cell::from_parts(true, 0, Some(Fault::StuckAt0)).read());
+        assert!(Cell::from_parts(true, 3, None).read());
     }
 }

@@ -42,8 +42,8 @@ impl EnduranceReport {
 
     /// Computes the report for one batch lane of a sliced array — the
     /// wear that lane's instance would have accumulated on a solo
-    /// array running the same program. On the scalar/packed backends
-    /// lane 0 is the whole array.
+    /// array running the same program. On the packed backend lane 0
+    /// is the whole array.
     pub fn from_lane(array: &Crossbar, lane: usize) -> Self {
         let (max_writes, total_writes, cells_touched) = array.lane_wear_stats(lane);
         EnduranceReport {

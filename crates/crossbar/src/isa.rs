@@ -32,8 +32,8 @@ pub enum MicroOp {
     /// `col_offset` (1 cc): bit `l` of `lane_words[j]` is the bit for
     /// batch lane `l` of column `col_offset + j`. On a sliced array
     /// this stages up to 64 independent operands in the same write
-    /// pulse a [`MicroOp::WriteRow`] would take; on scalar/packed
-    /// arrays the lane-0 bits are written. Cycle cost, wear and trace
+    /// pulse a [`MicroOp::WriteRow`] would take; on packed arrays
+    /// the lane-0 bits are written. Cycle cost, wear and trace
     /// shape are identical to `WriteRow` of the same span.
     WriteRowLanes {
         /// Target word line.

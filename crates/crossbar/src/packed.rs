@@ -5,8 +5,8 @@
 //! injected); wear in a lazily materialized [`WearPlane`] keyed by
 //! per-op column-range increments. A MAGIC NOR across k columns is
 //! `O(k/64)` word ops plus one wear push, instead of `O(k)` per-cell
-//! scalar updates — with read/write/drive semantics, error ordering
-//! and wear counts bit-identical to the scalar [`crate::Cell`] loops.
+//! updates — with read/write/drive semantics, error ordering and wear
+//! counts bit-identical to a per-cell loop.
 
 use crate::cell::{Cell, Fault};
 use crate::geometry::ColRange;
@@ -85,7 +85,7 @@ impl PackedPlanes {
     }
 
     /// Bits of `(row, word)` that host any stuck-at fault (writes and
-    /// MAGIC drives leave them untouched, like [`Cell::write`]).
+    /// MAGIC drives leave them untouched, though they still wear).
     #[inline]
     fn fault_word(&self, row: usize, word: usize) -> u64 {
         if self.sa0.is_empty() {
@@ -133,7 +133,7 @@ impl PackedPlanes {
     }
 
     /// Synthesizes the [`Cell`] view of one coordinate (raw value,
-    /// exact wear, fault) — identical to what the scalar backend
+    /// exact wear, fault) — identical to what a per-cell model
     /// stores.
     pub(crate) fn cell(&self, row: usize, col: usize) -> Cell {
         let raw = (self.value[self.idx(row, col / WORD_BITS)] >> (col % WORD_BITS)) & 1 == 1;
@@ -183,8 +183,8 @@ impl PackedPlanes {
 
     /// Writes `len` bits from little-endian `words` into `row` at
     /// `col_offset`: one wear increment per cell, fault cells keep
-    /// their value (but still wear) — exactly [`Cell::write`] applied
-    /// across the range.
+    /// their value (but still wear) — one write pulse per cell across
+    /// the range.
     pub(crate) fn write_words(&mut self, row: usize, col_offset: usize, words: &[u64], len: usize) {
         let range = col_offset..col_offset + len;
         for (w, mask, lo) in word_spans(range.clone()) {
@@ -264,8 +264,8 @@ impl PackedPlanes {
     }
 
     /// MAGIC NOR across rows. On a strict-init failure the columns
-    /// *before* the failing one are driven and worn (the scalar loop
-    /// processes columns left to right), and `Err(col)` is returned.
+    /// *before* the failing one are driven and worn (as in a per-cell
+    /// loop over columns left to right), and `Err(col)` is returned.
     pub(crate) fn nor_rows(
         &mut self,
         inputs: &[usize],
@@ -300,7 +300,7 @@ impl PackedPlanes {
     }
 
     /// MAGIC NOR along rows (column-oriented): one output bit per row,
-    /// rows processed in order like the scalar loop. `Err(row)` on a
+    /// rows processed in order like a per-cell loop. `Err(row)` on a
     /// strict-init failure; preceding rows stay driven.
     pub(crate) fn nor_cols(
         &mut self,
@@ -320,7 +320,7 @@ impl PackedPlanes {
     }
 
     /// Partitioned MAGIC NOR; iteration order (row-major, then
-    /// partition base) matches the scalar loop. `Err((row, col))` on a
+    /// partition base) matches a per-cell loop. `Err((row, col))` on a
     /// strict-init failure.
     pub(crate) fn nor_cols_partitioned(
         &mut self,
@@ -343,7 +343,8 @@ impl PackedPlanes {
         Ok(())
     }
 
-    /// [`Cell::magic_drive`] on a single coordinate.
+    /// One MAGIC drive on a single coordinate: one wear increment; a
+    /// healthy cell is pulled down unless `gate_result` is 1.
     fn drive_bit(&mut self, row: usize, col: usize, gate_result: bool) {
         let (w, bit) = (col / WORD_BITS, col % WORD_BITS);
         if !gate_result && self.fault_word(row, w) & (1 << bit) == 0 {

@@ -25,7 +25,7 @@
 //! Single-instance entry points (plain `write_row`, `read_cell`, …)
 //! broadcast to all lanes on write and observe **lane 0** on read, so
 //! generic code keeps working and a 1-lane sliced array behaves like a
-//! scalar one.
+//! packed one.
 //!
 //! The value plane is recycled through a small thread-local arena
 //! ([`arena`]) so per-batch construction does not pay a large
@@ -446,7 +446,7 @@ impl SlicedPlanes {
     }
 
     /// MAGIC NOR across rows, all lanes of each column in one word op.
-    /// Strict-init failures follow the scalar loop's column order: the
+    /// Strict-init failures follow a per-cell loop's column order: the
     /// first column where **any active lane's** output cell is not
     /// initialized fails the op after the preceding columns have been
     /// driven and worn; `Err(col)` is returned.
@@ -511,7 +511,7 @@ impl SlicedPlanes {
     }
 
     /// MAGIC NOR along rows (column-oriented): all lanes of a row's
-    /// output cell in one word op, rows in scalar-loop order.
+    /// output cell in one word op, rows in per-cell-loop order.
     /// `Err(row)` when any active lane's output cell is uninitialized.
     pub(crate) fn nor_cols(
         &mut self,
@@ -534,7 +534,7 @@ impl SlicedPlanes {
         Ok(())
     }
 
-    /// Partitioned MAGIC NOR; iteration order matches the scalar loop.
+    /// Partitioned MAGIC NOR; iteration order matches a per-cell loop.
     /// `Err((row, col))` on a strict-init failure of any active lane.
     pub(crate) fn nor_cols_partitioned(
         &mut self,

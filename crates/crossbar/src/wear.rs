@@ -1,13 +1,13 @@
 //! Lazily materialized per-cell wear plane for the packed backend.
 //!
-//! The scalar backend pays one counter increment per cell per write
+//! A per-cell model pays one counter increment per cell per write
 //! pulse. The packed backend instead records *column-range increments*
 //! — one `(start, end, delta)` entry per operation and row — and only
 //! materializes per-cell counters when an entry buffer grows past a
 //! threshold (or when a per-cell query forces a read through the
 //! pending entries). A MAGIC NOR over 3,000 columns therefore costs
 //! one range push instead of 3,000 increments, while every per-cell
-//! count stays exactly equal to the scalar backend's.
+//! count stays exactly equal to a per-cell model's.
 
 use std::ops::Range;
 

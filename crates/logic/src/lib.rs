@@ -39,7 +39,6 @@
 pub mod condsub;
 pub mod gates;
 pub mod kogge_stone;
-pub mod magic_schoolbook;
 pub mod multpim;
 pub mod program;
 pub mod ripple;

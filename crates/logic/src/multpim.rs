@@ -777,33 +777,29 @@ mod tests {
     }
 
     /// The word-parallel fast path must leave exactly the state and
-    /// wear the cell-serial reference loop leaves — on both crossbar
-    /// backends.
+    /// wear the cell-serial reference loop leaves.
     #[test]
     fn packed_shift_add_matches_reference_state_and_wear() {
-        use cim_crossbar::BackendKind;
         let mut rng = UintRng::seeded(991);
         for w in [4usize, 8, 17, 63, 64, 65, 70] {
             let m = RowMultiplier::new(w);
             let a = rng.uniform(w);
             let b = rng.uniform(w);
-            for kind in [BackendKind::Scalar, BackendKind::Packed] {
-                let mut fast = Crossbar::with_backend(1, m.required_cols(), kind).unwrap();
-                let mut gold = Crossbar::with_backend(1, m.required_cols(), kind).unwrap();
-                let mut loader = Executor::new(&mut fast);
-                loader.run(&m.load_program(0, 0, &a, &b)).unwrap();
-                m.shift_add_packed(&mut fast, 0, 0).unwrap();
-                let mut loader = Executor::new(&mut gold);
-                loader.run(&m.load_program(0, 0, &a, &b)).unwrap();
-                m.shift_add_reference(&mut gold, 0, 0).unwrap();
-                assert_eq!(fast, gold, "w = {w}, {kind:?}");
-                for c in 0..m.required_cols() {
-                    assert_eq!(
-                        fast.cell(0, c).unwrap(),
-                        gold.cell(0, c).unwrap(),
-                        "cell {c}, w = {w}, {kind:?}"
-                    );
-                }
+            let mut fast = Crossbar::new(1, m.required_cols()).unwrap();
+            let mut gold = Crossbar::new(1, m.required_cols()).unwrap();
+            let mut loader = Executor::new(&mut fast);
+            loader.run(&m.load_program(0, 0, &a, &b)).unwrap();
+            m.shift_add_packed(&mut fast, 0, 0).unwrap();
+            let mut loader = Executor::new(&mut gold);
+            loader.run(&m.load_program(0, 0, &a, &b)).unwrap();
+            m.shift_add_reference(&mut gold, 0, 0).unwrap();
+            assert_eq!(fast, gold, "w = {w}");
+            for c in 0..m.required_cols() {
+                assert_eq!(
+                    fast.cell(0, c).unwrap(),
+                    gold.cell(0, c).unwrap(),
+                    "cell {c}, w = {w}"
+                );
             }
         }
     }

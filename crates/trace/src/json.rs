@@ -79,7 +79,8 @@ impl JsonWriter {
 
     /// Closes the innermost object.
     pub fn close_object(&mut self) -> &mut Self {
-        debug_assert!(self.needs_comma.pop().is_some(), "unbalanced close_object");
+        let open = self.needs_comma.pop();
+        debug_assert!(open.is_some(), "unbalanced close_object");
         self.buf.push('}');
         self
     }
@@ -94,7 +95,8 @@ impl JsonWriter {
 
     /// Closes the innermost array.
     pub fn close_array(&mut self) -> &mut Self {
-        debug_assert!(self.needs_comma.pop().is_some(), "unbalanced close_array");
+        let open = self.needs_comma.pop();
+        debug_assert!(open.is_some(), "unbalanced close_array");
         self.buf.push(']');
         self
     }
@@ -397,6 +399,34 @@ mod tests {
             r#"{"name":"a \"b\"\n","values":[1,2.5,true],"count":3}"#
         );
         assert!(check(&s).is_ok());
+    }
+
+    /// An empty container must not leave its comma slot behind: the
+    /// next key or value still needs its separator (in every build
+    /// mode — run `cargo test --release -p cim-trace` too).
+    #[test]
+    fn writer_separates_values_after_empty_containers() {
+        let mut w = JsonWriter::new();
+        w.open_object()
+            .key("a")
+            .open_array()
+            .close_array()
+            .key("b")
+            .open_object()
+            .close_object()
+            .field_uint("c", 1)
+            .key("d")
+            .open_array()
+            .open_array()
+            .close_array()
+            .open_object()
+            .close_object()
+            .int(2)
+            .close_array()
+            .close_object();
+        let s = w.finish();
+        assert_eq!(s, r#"{"a":[],"b":{},"c":1,"d":[[],{},2]}"#);
+        assert!(check(&s).is_ok(), "{s}");
     }
 
     #[test]
