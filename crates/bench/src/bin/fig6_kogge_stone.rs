@@ -14,7 +14,7 @@ use cim_logic::kogge_stone::{AddOp, KoggeStoneAdder};
 fn op_name(op: &MicroOp) -> String {
     match op {
         MicroOp::WriteRow { row, .. } => format!("write row {row}"),
-        MicroOp::WriteRowLanes { row, .. } => format!("write row {row} (lane words)"),
+        MicroOp::WriteRowLanes { row, .. } => format!("write row {row} (per lane)"),
         MicroOp::ReadRow { row, .. } => format!("read row {row}"),
         MicroOp::InitRows { rows, .. } => format!("init rows {rows:?} → 1"),
         MicroOp::ResetRegion(r) => format!("reset rows {:?}", r.rows),

@@ -179,10 +179,13 @@ impl GoldMatrix {
             MicroOp::WriteRowLanes {
                 row,
                 col_offset,
-                lane_words,
+                len,
+                lanes,
             } => {
-                for (i, &w) in lane_words.iter().enumerate() {
-                    self.write(*row, col_offset + i, w & 1 == 1);
+                let lane0 = lanes.first().map_or(&[][..], Vec::as_slice);
+                for i in 0..*len {
+                    let bit = lane0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1);
+                    self.write(*row, col_offset + i, bit);
                 }
                 None
             }

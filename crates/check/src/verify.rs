@@ -449,13 +449,20 @@ impl AbstractState {
             MicroOp::WriteRowLanes {
                 row,
                 col_offset,
-                lane_words,
+                len,
+                lanes,
             } => {
-                // Lane words differ per lane; a cell is known-One for
-                // the MAGIC init rule only when *every* lane writes 1
+                // Bits differ per lane, and lanes the op does not name
+                // write 0: a cell is known-One for the MAGIC init rule
+                // only when every one of the word's lanes writes 1
                 // (sound for any active lane count), else just data.
-                for (i, &w) in lane_words.iter().enumerate() {
-                    let s = if w == u64::MAX {
+                let full = lanes.len() == cim_crossbar::MAX_BATCH_LANES;
+                for i in 0..*len {
+                    let all_one = full
+                        && lanes
+                            .iter()
+                            .all(|l| l.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1));
+                    let s = if all_one {
                         CellState::One
                     } else {
                         CellState::Defined

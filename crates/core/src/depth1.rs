@@ -209,14 +209,11 @@ impl KaratsubaDepth1Multiplier {
                         y: &Uint|
          -> Result<Uint, CrossbarError> {
             let span = tracer.span_at(post_track, name, post_start + exec.stats().cycles);
-            crate::postcompute::run_pass(exec, &adder, op, cim_mir::OptLevel::O0, x, y)?;
+            let (xs, ys) = (std::slice::from_ref(x), std::slice::from_ref(y));
+            let sums =
+                crate::postcompute::run_pass(exec, &adder, op, cim_mir::OptLevel::O0, xs, ys)?;
             span.end(post_start + exec.stats().cycles);
-            let bits = exec.array().read_row_bits(2, 0..w + 1)?;
-            let full = Uint::from_bits(&bits);
-            Ok(match op {
-                AddOp::Add => full,
-                AddOp::Sub => full.low_bits(w),
-            })
+            Ok(crate::single(sums))
         };
         let v = pass(&mut exec, "pass 1: v", AddOp::Add, &c_h, &c_l)?;
         let ct_m = pass(&mut exec, "pass 2: c~_m", AddOp::Sub, &c_m, &v)?;

@@ -55,6 +55,40 @@ pub mod postcompute;
 pub mod precompute;
 pub mod progcache;
 
+/// A fresh stage array for `lanes` instances running one program: the
+/// packed backend for a single instance, the bit-sliced backend for
+/// more. Every stage body runs on the array this returns, so solo and
+/// batch calls share their code and differ only in the lane count.
+///
+/// # Panics
+///
+/// Panics unless `lanes` is in `1..=MAX_BATCH_LANES`.
+pub(crate) fn lane_array(
+    rows: usize,
+    cols: usize,
+    lanes: usize,
+) -> Result<cim_crossbar::Crossbar, cim_crossbar::CrossbarError> {
+    use cim_crossbar::{Crossbar, MAX_BATCH_LANES};
+    assert!(
+        (1..=MAX_BATCH_LANES).contains(&lanes),
+        "batch must hold 1..={MAX_BATCH_LANES} lanes"
+    );
+    if lanes == 1 {
+        Crossbar::new(rows, cols)
+    } else {
+        Crossbar::new_sliced(rows, cols, lanes)
+    }
+}
+
+/// The one element of a one-lane result.
+pub(crate) fn single<T>(lanes: Vec<T>) -> T {
+    let [only]: [T; 1] = lanes
+        .try_into()
+        .ok()
+        .expect("a one-lane run yields one result");
+    only
+}
+
 /// The paper's chosen unroll depth (Fig. 4 shows L = 2 minimizes the
 /// area-time product across cryptographically relevant sizes).
 pub const PAPER_DEPTH: u32 = 2;

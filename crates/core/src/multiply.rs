@@ -13,7 +13,7 @@
 
 use crate::chunks::{LEAVES, PRODUCT_NAMES};
 use cim_bigint::Uint;
-use cim_crossbar::{Crossbar, CrossbarError, EnduranceReport};
+use cim_crossbar::{CrossbarError, EnduranceReport};
 use cim_logic::multpim::RowMultiplier;
 use cim_trace::{Args, ProcessId, Tracer};
 
@@ -29,7 +29,7 @@ pub struct MultiplyOutput {
     pub endurance: EnduranceReport,
 }
 
-/// Output of one bit-sliced batch multiplication-stage run.
+/// Output of one batch multiplication-stage run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchMultiplyOutput {
     /// Per-lane partial products (leaf order within each lane).
@@ -126,11 +126,10 @@ impl MultiplyStage {
         self.run_traced(a_leaves, b_leaves, &Tracer::disabled(), ProcessId(0), 0)
     }
 
-    /// Runs the nine partial multiplications for up to 64 instances at
-    /// once on a bit-sliced array: row `i` multiplies leaf `i` of every
-    /// lane in the same shift-add pass
-    /// ([`RowMultiplier::run_batch_in`]), so the stage latency equals
-    /// [`MultiplyStage::latency`] regardless of the lane count.
+    /// Runs the nine partial multiplications for one leaf set per lane:
+    /// row `i` multiplies leaf `i` of every lane in the same shift-add
+    /// pass ([`RowMultiplier::run_batch_in`]), so the stage latency
+    /// equals [`MultiplyStage::latency`] regardless of the lane count.
     ///
     /// # Errors
     ///
@@ -138,34 +137,15 @@ impl MultiplyStage {
     ///
     /// # Panics
     ///
-    /// Panics if the leaf sets are empty, differ in lane count, exceed
-    /// 64 lanes, or a leaf operand exceeds `n/4 + 2` bits.
+    /// Panics if the leaf sets differ in lane count, do not hold
+    /// 1..=[`cim_crossbar::MAX_BATCH_LANES`] lanes, or a leaf operand
+    /// exceeds `n/4 + 2` bits.
     pub fn run_batch(
         &self,
         a_leaves: &[[Uint; LEAVES]],
         b_leaves: &[[Uint; LEAVES]],
     ) -> Result<BatchMultiplyOutput, CrossbarError> {
-        let lanes = a_leaves.len();
-        assert!(
-            lanes > 0 && lanes <= 64 && lanes == b_leaves.len(),
-            "batch must hold 1..=64 lanes on both sides"
-        );
-        let mut array = Crossbar::new_sliced(LEAVES, self.multiplier.required_cols(), lanes)?;
-        let mut products: Vec<[Uint; LEAVES]> = vec![Default::default(); lanes];
-        for i in 0..LEAVES {
-            let pairs: Vec<(Uint, Uint)> = (0..lanes)
-                .map(|l| (a_leaves[l][i].clone(), b_leaves[l][i].clone()))
-                .collect();
-            let (lane_products, _) = self.multiplier.run_batch_in(&mut array, i, 0, &pairs)?;
-            for (l, p) in lane_products.into_iter().enumerate() {
-                products[l][i] = p;
-            }
-        }
-        Ok(BatchMultiplyOutput {
-            products,
-            cycles: self.latency(),
-            endurance: EnduranceReport::per_lane(&array),
-        })
+        self.run_lanes(a_leaves, b_leaves, &Tracer::disabled(), ProcessId(0), 0)
     }
 
     /// [`MultiplyStage::run`] with tracing: each of the nine row
@@ -190,13 +170,39 @@ impl MultiplyStage {
         process: ProcessId,
         start_cycle: u64,
     ) -> Result<MultiplyOutput, CrossbarError> {
-        let mut array = Crossbar::new(LEAVES, self.multiplier.required_cols())?;
-        let mut products: [Uint; LEAVES] = Default::default();
+        let (a, b) = (
+            std::slice::from_ref(a_leaves),
+            std::slice::from_ref(b_leaves),
+        );
+        let out = self.run_lanes(a, b, tracer, process, start_cycle)?;
+        Ok(MultiplyOutput {
+            products: crate::single(out.products),
+            cycles: out.cycles,
+            endurance: crate::single(out.endurance),
+        })
+    }
+
+    /// The stage body, for one leaf set per lane.
+    pub(crate) fn run_lanes(
+        &self,
+        a_leaves: &[[Uint; LEAVES]],
+        b_leaves: &[[Uint; LEAVES]],
+        tracer: &Tracer,
+        process: ProcessId,
+        start_cycle: u64,
+    ) -> Result<BatchMultiplyOutput, CrossbarError> {
+        let lanes = a_leaves.len();
+        assert_eq!(lanes, b_leaves.len(), "both sides must hold the same lanes");
+        let mut array = crate::lane_array(LEAVES, self.multiplier.required_cols(), lanes)?;
+        let mut products: Vec<[Uint; LEAVES]> = vec![Default::default(); lanes];
         for i in 0..LEAVES {
-            let (p, _) = self
-                .multiplier
-                .run_in(&mut array, i, 0, &a_leaves[i], &b_leaves[i])?;
-            products[i] = p;
+            let pairs: Vec<(Uint, Uint)> = (0..lanes)
+                .map(|l| (a_leaves[l][i].clone(), b_leaves[l][i].clone()))
+                .collect();
+            let (lane_products, _) = self.multiplier.run_batch_in(&mut array, i, 0, &pairs)?;
+            for (l, p) in lane_products.into_iter().enumerate() {
+                products[l][i] = p;
+            }
             if tracer.is_enabled() {
                 let track = tracer.track(process, &format!("mult row {i}"));
                 tracer.complete(
@@ -210,10 +216,10 @@ impl MultiplyStage {
                 );
             }
         }
-        Ok(MultiplyOutput {
+        Ok(BatchMultiplyOutput {
             products,
             cycles: self.latency(),
-            endurance: EnduranceReport::from_array(&array),
+            endurance: EnduranceReport::per_lane(&array),
         })
     }
 }

@@ -100,9 +100,13 @@ impl PipelineSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is 0 or exceeds 64.
+    /// Panics if `lanes` is 0 or exceeds [`cim_crossbar::MAX_BATCH_LANES`].
     pub fn batched_throughput_per_mcc(&self, lanes: usize) -> f64 {
-        assert!((1..=64).contains(&lanes), "lanes must be 1..=64");
+        use cim_crossbar::MAX_BATCH_LANES;
+        assert!(
+            (1..=MAX_BATCH_LANES).contains(&lanes),
+            "lanes must be 1..={MAX_BATCH_LANES}"
+        );
         lanes as f64 * self.throughput_per_mcc()
     }
 

@@ -38,7 +38,7 @@
 
 use crate::chunks::LEAVES;
 use cim_bigint::Uint;
-use cim_crossbar::{Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp};
+use cim_crossbar::{CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_mir::OptLevel;
 use cim_trace::{TrackId, Tracer};
@@ -47,9 +47,9 @@ use cim_trace::{TrackId, Tracer};
 pub const ROWS: usize = 8 + SCRATCH_ROWS;
 
 /// One shared-adder pass as a verified micro-op program: reset the
-/// adder's I/O rows, write the packed operands, run the addition.
-/// Used by the stage-3 recombination here and by the depth-1 ablation
-/// pipeline.
+/// adder's I/O rows, write the operands, run the addition. Used by
+/// the static-verification suite; execution goes through
+/// [`run_pass`], which runs the same ops.
 ///
 /// The program is self-contained (the resets and writes define every
 /// cell the adder senses), so it is statically verified (`cim-check`,
@@ -60,7 +60,7 @@ pub const ROWS: usize = 8 + SCRATCH_ROWS;
 /// Panics if an operand does not fit in `adder.width() + 1` bits, or
 /// (debug/test builds) if the composed program fails verification.
 pub fn pass_program(adder: &KoggeStoneAdder, op: AddOp, x: &Uint, y: &Uint) -> Vec<MicroOp> {
-    let mut prog = pass_staging(adder, x, y).to_vec();
+    let mut prog = pass_staging(adder, std::slice::from_ref(x), std::slice::from_ref(y)).to_vec();
     prog.extend_from_slice(&crate::progcache::adder_program(adder, op));
     cim_check::debug_assert_verified(
         &prog,
@@ -71,30 +71,37 @@ pub fn pass_program(adder: &KoggeStoneAdder, op: AddOp, x: &Uint, y: &Uint) -> V
 }
 
 /// The operand-dependent staging prefix of one pass: reset the I/O
-/// rows, write the packed operands.
-fn pass_staging(adder: &KoggeStoneAdder, x: &Uint, y: &Uint) -> [MicroOp; 3] {
+/// rows, then write one operand per lane into each input row — the
+/// same three ops, and cycle cost, for any lane count.
+fn pass_staging(adder: &KoggeStoneAdder, xs: &[Uint], ys: &[Uint]) -> [MicroOp; 3] {
     let w = adder.width();
     let layout = adder.layout();
     let cols = layout.col_base..layout.col_base + w + 1;
+    let write = |row: usize, ops: &[Uint]| {
+        let lanes: Vec<&[u64]> = ops.iter().map(Uint::limbs).collect();
+        MicroOp::write_row_lanes(row, layout.col_base, w + 1, &lanes)
+    };
     [
         MicroOp::reset_rows(&[layout.x_row, layout.y_row, layout.sum_row], cols),
-        MicroOp::write_row_at(layout.x_row, layout.col_base, &x.to_bits(w + 1)),
-        MicroOp::write_row_at(layout.y_row, layout.col_base, &y.to_bits(w + 1)),
+        write(layout.x_row, xs),
+        write(layout.y_row, ys),
     ]
 }
 
-/// Executes one pass as the staging prefix plus the *cached* adder
-/// body ([`crate::progcache`]) — the op sequence is identical to
-/// running [`pass_program`], without cloning the adder body per pass.
+/// Executes one pass — lane `l` computes `xs[l] ± ys[l]` — as the
+/// staging prefix plus the *cached* adder body
+/// ([`crate::progcache`]), the op sequence of [`pass_program`] without
+/// cloning the adder body per pass, and reads each lane's result back
+/// from the sum row (a subtraction drops its borrow-out bit).
 pub(crate) fn run_pass(
     exec: &mut Executor<'_>,
     adder: &KoggeStoneAdder,
     op: AddOp,
     opt: OptLevel,
-    x: &Uint,
-    y: &Uint,
-) -> Result<(), CrossbarError> {
-    let staging = pass_staging(adder, x, y);
+    xs: &[Uint],
+    ys: &[Uint],
+) -> Result<Vec<Uint>, CrossbarError> {
+    let staging = pass_staging(adder, xs, ys);
     let body = crate::progcache::adder_program_opt(adder, op, opt);
     if cfg!(debug_assertions) {
         let mut full = staging.to_vec();
@@ -106,62 +113,22 @@ pub(crate) fn run_pass(
         );
     }
     exec.run(&staging)?;
-    exec.run(&body)
-}
-
-/// The batch counterpart of [`pass_staging`]: the reset is unchanged
-/// (it is lane-oblivious) and the two operand writes carry one lane
-/// word per column — same op count, same cycle cost.
-fn pass_staging_batch(adder: &KoggeStoneAdder, xs: &[Uint], ys: &[Uint]) -> [MicroOp; 3] {
+    exec.run(&body)?;
     let w = adder.width();
     let layout = adder.layout();
-    let cols = layout.col_base..layout.col_base + w + 1;
-    let transpose = |ops: &[Uint]| -> Vec<u64> {
-        let refs: Vec<&[u64]> = ops
-            .iter()
-            .inspect(|op| {
-                assert!(
-                    op.bit_len() <= w + 1,
-                    "operand of {} bits does not fit in width {}",
-                    op.bit_len(),
-                    w + 1
-                );
-            })
-            .map(|op| op.limbs())
-            .collect();
-        cim_crossbar::lanes::transpose_lanes(&refs, w + 1)
-    };
-    [
-        MicroOp::reset_rows(&[layout.x_row, layout.y_row, layout.sum_row], cols),
-        MicroOp::write_row_lanes(layout.x_row, layout.col_base, &transpose(xs)),
-        MicroOp::write_row_lanes(layout.y_row, layout.col_base, &transpose(ys)),
-    ]
-}
-
-/// Executes one batched pass: lane-staged operands plus the cached
-/// adder body — op-for-op the shape of [`run_pass`], with every lane
-/// adding its own operands.
-pub(crate) fn run_pass_batch(
-    exec: &mut Executor<'_>,
-    adder: &KoggeStoneAdder,
-    op: AddOp,
-    opt: OptLevel,
-    xs: &[Uint],
-    ys: &[Uint],
-) -> Result<(), CrossbarError> {
-    let staging = pass_staging_batch(adder, xs, ys);
-    let body = crate::progcache::adder_program_opt(adder, op, opt);
-    if cfg!(debug_assertions) {
-        let mut full = staging.to_vec();
-        full.extend_from_slice(&body);
-        cim_check::debug_assert_verified(
-            &full,
-            &cim_check::VerifyConfig::new(adder.required_rows(), adder.required_cols()),
-            "postcompute::batch_pass_program",
-        );
-    }
-    exec.run(&staging)?;
-    exec.run(&body)
+    let sum = layout.col_base..layout.col_base + w + 1;
+    Ok(exec
+        .array()
+        .read_row_lanes(layout.sum_row, sum, xs.len())?
+        .into_iter()
+        .map(|limbs| {
+            let full = Uint::from_limbs(limbs);
+            match op {
+                AddOp::Add => full,
+                AddOp::Sub => full.low_bits(w),
+            }
+        })
+        .collect())
 }
 
 /// Output of one postcomputation run.
@@ -175,7 +142,7 @@ pub struct PostcomputeOutput {
     pub endurance: EnduranceReport,
 }
 
-/// Output of one bit-sliced batch postcomputation run.
+/// Output of one batch postcomputation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPostcomputeOutput {
     /// Per-lane final `2n`-bit products.
@@ -279,12 +246,8 @@ impl PostcomputeStage {
         self.run_traced(products, &Tracer::disabled(), TrackId(0), 0)
     }
 
-    /// Runs the stage for up to 64 product sets at once on a
-    /// bit-sliced array: every one of the 11 shared-adder passes stages
-    /// its operands lane-wise and runs the *same* cached adder body, so
-    /// the cycle count equals [`PostcomputeStage::latency`] regardless
-    /// of the lane count. The inter-pass recombination arithmetic runs
-    /// per lane in the controller, exactly as it does for one instance.
+    /// Runs the stage for one product set per lane, in the cycle count
+    /// of [`PostcomputeStage::latency`] regardless of the lane count.
     ///
     /// # Errors
     ///
@@ -292,139 +255,14 @@ impl PostcomputeStage {
     ///
     /// # Panics
     ///
-    /// Panics if `product_sets` is empty, holds more than 64 entries,
-    /// or a product exceeds its maximal width (`n/2 + 4` bits).
+    /// Panics if `product_sets` does not hold
+    /// 1..=[`cim_crossbar::MAX_BATCH_LANES`] entries or a product
+    /// exceeds its maximal width (`n/2 + 4` bits).
     pub fn run_batch(
         &self,
         product_sets: &[[Uint; LEAVES]],
     ) -> Result<BatchPostcomputeOutput, CrossbarError> {
-        let n = self.n;
-        let q = n / 4;
-        let w = self.adder_width(); // 6q
-        let seg = w / 2; // 3q
-        let cap = 2 * q + 2; // max width of c_lm / c_hm
-        let lanes = product_sets.len();
-        assert!(
-            lanes > 0 && lanes <= 64,
-            "batch must hold 1..=64 lanes"
-        );
-
-        let leaf = |i: usize| -> Vec<Uint> {
-            product_sets.iter().map(|p| p[i].clone()).collect()
-        };
-        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm] =
-            std::array::from_fn::<_, LEAVES, _>(leaf);
-
-        let mut array = Crossbar::new_sliced(ROWS, w + 1, lanes)?;
-        let mut exec = Executor::new(&mut array);
-        let adder = KoggeStoneAdder::with_layout(
-            w,
-            AdderLayout {
-                x_row: 0,
-                y_row: 1,
-                sum_row: 2,
-                scratch: std::array::from_fn(|i| 8 + i),
-                col_base: 0,
-            },
-        );
-
-        // One batched adder pass; returns the per-lane sums.
-        let pass = |exec: &mut Executor<'_>,
-                    op: AddOp,
-                    xs: &[Uint],
-                    ys: &[Uint]|
-         -> Result<Vec<Uint>, CrossbarError> {
-            run_pass_batch(exec, &adder, op, self.opt, xs, ys)?;
-            let mut sum_cols = Vec::new();
-            exec.array().read_row_lane_words(2, 0..w + 1, &mut sum_cols)?;
-            Ok(cim_crossbar::lanes::lane_limbs(&sum_cols, lanes)
-                .into_iter()
-                .map(|limbs| {
-                    let full = Uint::from_limbs(limbs);
-                    match op {
-                        AddOp::Add => full,
-                        AddOp::Sub => full.low_bits(w),
-                    }
-                })
-                .collect())
-        };
-        let map = |xs: &[Uint], f: &dyn Fn(&Uint) -> Uint| -> Vec<Uint> {
-            xs.iter().map(f).collect()
-        };
-        let zip = |xs: &[Uint], ys: &[Uint], f: &dyn Fn(&Uint, &Uint) -> Uint| -> Vec<Uint> {
-            xs.iter().zip(ys).map(|(x, y)| f(x, y)).collect()
-        };
-        let gap_ones = |from: usize, to: usize| Uint::pow2(to).sub(&Uint::pow2(from));
-
-        // Pass 1: t_l ‖ t_h (batched add).
-        let s1 = pass(
-            &mut exec,
-            AddOp::Add,
-            &zip(&c_ll, &c_hl, &|l, h| l.add(&h.shl(seg))),
-            &zip(&c_lh, &c_hh, &|l, h| l.add(&h.shl(seg))),
-        )?;
-        let t_l = map(&s1, &|s| s.low_bits(seg));
-        let t_h = map(&s1, &|s| s.shr(seg));
-
-        // Pass 2: c̃_lm ‖ c̃_hm (batched sub; minuend gap bits = 1).
-        let x2 = zip(&c_lm, &c_hm, &|lm, hm| {
-            lm.add(&gap_ones(cap, seg))
-                .add(&hm.shl(seg))
-                .add(&gap_ones(seg + cap, w))
-        });
-        let s2 = pass(
-            &mut exec,
-            AddOp::Sub,
-            &x2,
-            &zip(&t_l, &t_h, &|l, h| l.add(&h.shl(seg))),
-        )?;
-        let ct_lm = map(&s2, &|s| s.low_bits(cap));
-        let ct_hm = map(&s2, &|s| s.shr(seg).low_bits(cap));
-
-        // Pass 3: t_m = c_ml + c_mh.
-        let t_m = pass(&mut exec, AddOp::Add, &c_ml, &c_mh)?;
-
-        // Pass 4: c̃_mm = c_mm − t_m.
-        let ct_mm = pass(&mut exec, AddOp::Sub, &c_mm, &t_m)?;
-
-        // Pass 5: c_l = (c_lh ‖ c_ll) + c̃_lm·2^q.
-        let c_l = pass(
-            &mut exec,
-            AddOp::Add,
-            &zip(&c_ll, &c_lh, &|l, h| l.add(&h.shl(2 * q))),
-            &map(&ct_lm, &|x| x.shl(q)),
-        )?;
-
-        // Pass 6: c_h likewise.
-        let c_h = pass(
-            &mut exec,
-            AddOp::Add,
-            &zip(&c_hl, &c_hh, &|l, h| l.add(&h.shl(2 * q))),
-            &map(&ct_hm, &|x| x.shl(q)),
-        )?;
-
-        // Passes 7–8: c_m in two additions.
-        let u = pass(&mut exec, AddOp::Add, &c_ml, &map(&c_mh, &|x| x.shl(2 * q)))?;
-        let c_m = pass(&mut exec, AddOp::Add, &u, &map(&ct_mm, &|x| x.shl(q)))?;
-
-        // Passes 9–10: c̃_m = c_m − (c_h + c_l).
-        let v = pass(&mut exec, AddOp::Add, &c_h, &c_l)?;
-        let ct_m = pass(&mut exec, AddOp::Sub, &c_m, &v)?;
-
-        // Pass 11 (LSB optimization).
-        let base_top = zip(&c_l, &c_h, &|l, h| l.add(&h.shl(n)).shr(n / 2));
-        let c_top = pass(&mut exec, AddOp::Add, &base_top, &ct_m)?;
-        let products = zip(&c_top, &c_l, &|t, l| t.shl(n / 2).add(&l.low_bits(n / 2)));
-
-        // Reset the stage array for the next batch — 1 cc.
-        exec.step(&MicroOp::reset_region(0..ROWS, 0..w + 1))?;
-        let stats = *exec.stats();
-        let endurance = EnduranceReport::per_lane(&array);
-        Ok(BatchPostcomputeOutput {
-            products,
-            stats,
-            endurance,
-        })
+        self.run_lanes(product_sets, &Tracer::disabled(), TrackId(0), 0)
     }
 
     /// [`PostcomputeStage::run`] with tracing: the stage is wrapped in
@@ -447,15 +285,36 @@ impl PostcomputeStage {
         track: TrackId,
         start_cycle: u64,
     ) -> Result<PostcomputeOutput, CrossbarError> {
+        let out = self.run_lanes(std::slice::from_ref(products), tracer, track, start_cycle)?;
+        Ok(PostcomputeOutput {
+            product: crate::single(out.products),
+            stats: out.stats,
+            endurance: crate::single(out.endurance),
+        })
+    }
+
+    /// The stage body, for one product set per lane: every one of the
+    /// 11 shared-adder passes stages its operands lane-wise and runs
+    /// the *same* cached adder body; the inter-pass recombination
+    /// arithmetic runs per lane in the controller.
+    pub(crate) fn run_lanes(
+        &self,
+        product_sets: &[[Uint; LEAVES]],
+        tracer: &Tracer,
+        track: TrackId,
+        start_cycle: u64,
+    ) -> Result<BatchPostcomputeOutput, CrossbarError> {
         let n = self.n;
         let q = n / 4;
         let w = self.adder_width(); // 6q
         let seg = w / 2; // 3q
         let cap = 2 * q + 2; // max width of c_lm / c_hm
 
-        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm] = products.clone();
+        let leaf = |i: usize| -> Vec<Uint> { product_sets.iter().map(|p| p[i].clone()).collect() };
+        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm] =
+            std::array::from_fn::<_, LEAVES, _>(leaf);
 
-        let mut array = Crossbar::new(ROWS, w + 1)?;
+        let mut array = crate::lane_array(ROWS, w + 1, product_sets.len())?;
         let mut exec = Executor::new(&mut array);
         exec.attach_tracer_at(tracer, track, start_cycle);
         let stage = tracer.span_at(track, "postcompute", start_cycle);
@@ -470,43 +329,51 @@ impl PostcomputeStage {
             },
         );
 
-        // One adder pass: reset I/O rows, write packed operands, run
-        // the cached adder body — op-identical to `pass_program`,
-        // wrapped in a named span.
+        // One adder pass, wrapped in a named span; returns the
+        // per-lane results.
         let pass = |exec: &mut Executor<'_>,
-                        name: &'static str,
-                        op: AddOp,
-                        x: &Uint,
-                        y: &Uint|
-         -> Result<Uint, CrossbarError> {
+                    name: &'static str,
+                    op: AddOp,
+                    xs: &[Uint],
+                    ys: &[Uint]|
+         -> Result<Vec<Uint>, CrossbarError> {
             let span = tracer.span_at(track, name, start_cycle + exec.stats().cycles);
-            run_pass(exec, &adder, op, self.opt, x, y)?;
+            let sums = run_pass(exec, &adder, op, self.opt, xs, ys)?;
             span.end(start_cycle + exec.stats().cycles);
-            let bits = exec.array().read_row_bits(2, 0..w + 1)?;
-            let full = Uint::from_bits(&bits);
-            Ok(match op {
-                AddOp::Add => full,
-                AddOp::Sub => full.low_bits(w),
-            })
+            Ok(sums)
         };
-
+        let map =
+            |xs: &[Uint], f: &dyn Fn(&Uint) -> Uint| -> Vec<Uint> { xs.iter().map(f).collect() };
+        let zip = |xs: &[Uint], ys: &[Uint], f: &dyn Fn(&Uint, &Uint) -> Uint| -> Vec<Uint> {
+            xs.iter().zip(ys).map(|(x, y)| f(x, y)).collect()
+        };
         // Ones in [from, to) — gap filler blocking borrow propagation
         // between the segments of a batched subtraction.
         let gap_ones = |from: usize, to: usize| Uint::pow2(to).sub(&Uint::pow2(from));
+        let gaps = gap_ones(cap, seg).add(&gap_ones(seg + cap, w));
 
         // Pass 1: t_l ‖ t_h (batched add).
-        let s1 = pass(&mut exec, "pass 1: t_l || t_h", AddOp::Add, &c_ll.add(&c_hl.shl(seg)), &c_lh.add(&c_hh.shl(seg)))?;
-        let t_l = s1.low_bits(seg);
-        let t_h = s1.shr(seg);
+        let s1 = pass(
+            &mut exec,
+            "pass 1: t_l || t_h",
+            AddOp::Add,
+            &zip(&c_ll, &c_hl, &|l, h| l.add(&h.shl(seg))),
+            &zip(&c_lh, &c_hh, &|l, h| l.add(&h.shl(seg))),
+        )?;
+        let t_l = map(&s1, &|s| s.low_bits(seg));
+        let t_h = map(&s1, &|s| s.shr(seg));
 
         // Pass 2: c̃_lm ‖ c̃_hm (batched sub; minuend gap bits = 1).
-        let x2 = c_lm
-            .add(&gap_ones(cap, seg))
-            .add(&c_hm.shl(seg))
-            .add(&gap_ones(seg + cap, w));
-        let s2 = pass(&mut exec, "pass 2: c~_lm || c~_hm", AddOp::Sub, &x2, &t_l.add(&t_h.shl(seg)))?;
-        let ct_lm = s2.low_bits(cap);
-        let ct_hm = s2.shr(seg).low_bits(cap);
+        let x2 = zip(&c_lm, &c_hm, &|lm, hm| lm.add(&gaps).add(&hm.shl(seg)));
+        let s2 = pass(
+            &mut exec,
+            "pass 2: c~_lm || c~_hm",
+            AddOp::Sub,
+            &x2,
+            &zip(&t_l, &t_h, &|l, h| l.add(&h.shl(seg))),
+        )?;
+        let ct_lm = map(&s2, &|s| s.low_bits(cap));
+        let ct_hm = map(&s2, &|s| s.shr(seg).low_bits(cap));
 
         // Pass 3: t_m = c_ml + c_mh.
         let t_m = pass(&mut exec, "pass 3: t_m", AddOp::Add, &c_ml, &c_mh)?;
@@ -515,15 +382,39 @@ impl PostcomputeStage {
         let ct_mm = pass(&mut exec, "pass 4: c~_mm", AddOp::Sub, &c_mm, &t_m)?;
 
         // Pass 5: c_l = (c_lh ‖ c_ll) + c̃_lm·2^q.
-        let c_l = pass(&mut exec, "pass 5: c_l", AddOp::Add, &c_ll.add(&c_lh.shl(2 * q)), &ct_lm.shl(q))?;
+        let c_l = pass(
+            &mut exec,
+            "pass 5: c_l",
+            AddOp::Add,
+            &zip(&c_ll, &c_lh, &|l, h| l.add(&h.shl(2 * q))),
+            &map(&ct_lm, &|x| x.shl(q)),
+        )?;
 
         // Pass 6: c_h likewise.
-        let c_h = pass(&mut exec, "pass 6: c_h", AddOp::Add, &c_hl.add(&c_hh.shl(2 * q)), &ct_hm.shl(q))?;
+        let c_h = pass(
+            &mut exec,
+            "pass 6: c_h",
+            AddOp::Add,
+            &zip(&c_hl, &c_hh, &|l, h| l.add(&h.shl(2 * q))),
+            &map(&ct_hm, &|x| x.shl(q)),
+        )?;
 
         // Passes 7–8: c_m needs two additions (c_ml is n/2+2 bits wide,
         // so appending c_mh is not possible).
-        let u = pass(&mut exec, "pass 7: u", AddOp::Add, &c_ml, &c_mh.shl(2 * q))?;
-        let c_m = pass(&mut exec, "pass 8: c_m", AddOp::Add, &u, &ct_mm.shl(q))?;
+        let u = pass(
+            &mut exec,
+            "pass 7: u",
+            AddOp::Add,
+            &c_ml,
+            &map(&c_mh, &|x| x.shl(2 * q)),
+        )?;
+        let c_m = pass(
+            &mut exec,
+            "pass 8: c_m",
+            AddOp::Add,
+            &u,
+            &map(&ct_mm, &|x| x.shl(q)),
+        )?;
 
         // Passes 9–10: c̃_m = c_m − (c_h + c_l).
         let v = pass(&mut exec, "pass 9: v", AddOp::Add, &c_h, &c_l)?;
@@ -531,18 +422,18 @@ impl PostcomputeStage {
 
         // Pass 11 (LSB optimization): only the top 1.5n bits need the
         // final addition; the low n/2 bits of c_l pass through.
-        let base_top = c_l.add(&c_h.shl(n)).shr(n / 2);
+        let base_top = zip(&c_l, &c_h, &|l, h| l.add(&h.shl(n)).shr(n / 2));
         let c_top = pass(&mut exec, "pass 11: c_top", AddOp::Add, &base_top, &ct_m)?;
-        let product = c_top.shl(n / 2).add(&c_l.low_bits(n / 2));
+        let products = zip(&c_top, &c_l, &|t, l| t.shl(n / 2).add(&l.low_bits(n / 2)));
 
         // Reset the stage array for the next multiplication — 1 cc.
         exec.step(&MicroOp::reset_region(0..ROWS, 0..w + 1))?;
         stage.end(start_cycle + exec.stats().cycles);
 
         let stats = *exec.stats();
-        let endurance = EnduranceReport::from_array(&array);
-        Ok(PostcomputeOutput {
-            product,
+        let endurance = EnduranceReport::per_lane(&array);
+        Ok(BatchPostcomputeOutput {
+            products,
             stats,
             endurance,
         })

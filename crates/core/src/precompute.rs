@@ -16,7 +16,7 @@
 //!
 //! (8 input-row writes, 10 sequential additions, 1 reset wave.)
 
-use crate::chunks::{decompose_operand, LEAVES};
+use crate::chunks::{decompose_operand, OperandDecomposition, LEAVES};
 use crate::progcache::SuffixProgram;
 use cim_bigint::Uint;
 use cim_crossbar::{Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp, Region};
@@ -37,9 +37,9 @@ pub struct PrecomputeOutput {
     pub endurance: EnduranceReport,
 }
 
-/// Output of one bit-sliced batch precomputation run: one leaf set
-/// per lane, one shared cycle count (the batch runs the *same*
-/// micro-op program a single instance runs).
+/// Output of one batch precomputation run: one leaf set per lane, one
+/// shared cycle count (the batch runs the *same* micro-op program a
+/// single instance runs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPrecomputeOutput {
     /// Per-lane `a`-side leaf operands.
@@ -92,6 +92,9 @@ const ADDITIONS: [(usize, usize, usize); 10] = [
     (7, 5, 16),  // b31
     (15, 16, 17), // b3210
 ];
+
+/// A squaring runs only the first five (`a`-side) additions.
+const SQUARE_ADDITIONS: usize = 5;
 
 /// Leaf order → stage row holding that operand (a side; b side = +? see
 /// [`PrecomputeStage::leaf_rows`]).
@@ -185,9 +188,9 @@ impl PrecomputeStage {
     pub fn square_latency(&self) -> u64 {
         if self.opt == OptLevel::O0 {
             let adder = KoggeStoneAdder::new(self.adder_width());
-            8 + 5 * adder.latency() + 1
+            8 + SQUARE_ADDITIONS as u64 * adder.latency() + 1
         } else {
-            8 + cim_mir::program_cycles(&self.addition_suffix(5).ops) + 1
+            8 + cim_mir::program_cycles(&self.addition_suffix(SQUARE_ADDITIONS).ops) + 1
         }
     }
 
@@ -207,49 +210,45 @@ impl PrecomputeStage {
         )
     }
 
-    /// The operand-dependent program prefix: one packed write per
-    /// chunk row. Always rebuilt — it embeds data bits.
-    fn chunk_writes(&self, chunks: &[&Uint]) -> Vec<MicroOp> {
-        let cols = self.cols();
-        chunks
+    /// Both operands of every lane split into their chunks and leaves.
+    fn decompose(
+        &self,
+        operands: &[(&Uint, &Uint)],
+    ) -> Vec<(OperandDecomposition, OperandDecomposition)> {
+        operands
             .iter()
-            .enumerate()
-            .map(|(i, chunk)| MicroOp::write_row(INPUT_BASE + i, &chunk.to_bits(cols)))
+            .map(|(a, b)| (decompose_operand(a, self.n), decompose_operand(b, self.n)))
             .collect()
     }
 
-    /// The batch counterpart of [`PrecomputeStage::chunk_writes`]:
-    /// each input row's write carries one lane word per column, so the
-    /// whole batch loads in the same 8 cycles.
-    fn chunk_writes_batch(&self, chunk_rows: &[Vec<&Uint>]) -> Vec<MicroOp> {
-        let cols = self.cols();
-        chunk_rows
-            .iter()
-            .enumerate()
-            .map(|(i, lanes)| {
-                let refs: Vec<&[u64]> = lanes
+    /// The operand-dependent program prefix: one lane-staged write per
+    /// chunk row — row `i` holds chunk `i` of every lane, so any lane
+    /// count loads in the same 8 cycles. Always rebuilt — it embeds
+    /// data bits.
+    fn chunk_writes(
+        &self,
+        decomps: &[(OperandDecomposition, OperandDecomposition)],
+    ) -> Vec<MicroOp> {
+        (0..8)
+            .map(|i| {
+                let lanes: Vec<&[u64]> = decomps
                     .iter()
-                    .inspect(|chunk| {
-                        assert!(
-                            chunk.bit_len() <= cols,
-                            "chunk of {} bits does not fit in {} columns",
-                            chunk.bit_len(),
-                            cols
-                        );
+                    .map(|(da, db)| {
+                        if i < 4 {
+                            da.chunks[i].limbs()
+                        } else {
+                            db.chunks[i - 4].limbs()
+                        }
                     })
-                    .map(|chunk| chunk.limbs())
                     .collect();
-                let words = cim_crossbar::lanes::transpose_lanes(&refs, cols);
-                MicroOp::write_row_lanes(INPUT_BASE + i, 0, &words)
+                MicroOp::write_row_lanes(INPUT_BASE + i, 0, self.cols(), &lanes)
             })
             .collect()
     }
 
-    /// Runs the stage for up to 64 multiplications at once on a
-    /// bit-sliced array: lane `l` computes the leaf operands of
-    /// `pairs[l]`. The micro-op program is the solo program with the
-    /// eight chunk writes staged lane-wise, so the cycle count equals
-    /// [`PrecomputeStage::latency`] regardless of the lane count.
+    /// Runs the stage for one multiplication per lane — lane `l`
+    /// computes the leaf operands of `pairs[l]` — in the cycle count
+    /// of [`PrecomputeStage::latency`] regardless of the lane count.
     ///
     /// # Errors
     ///
@@ -257,81 +256,11 @@ impl PrecomputeStage {
     ///
     /// # Panics
     ///
-    /// Panics if `pairs` is empty, holds more than 64 entries, or an
-    /// operand does not fit in `n` bits.
+    /// Panics if `pairs` does not hold 1..=[`cim_crossbar::MAX_BATCH_LANES`]
+    /// entries or an operand does not fit in `n` bits.
     pub fn run_batch(&self, pairs: &[(Uint, Uint)]) -> Result<BatchPrecomputeOutput, CrossbarError> {
-        let cols = self.cols();
-        assert!(
-            !pairs.is_empty() && pairs.len() <= 64,
-            "batch must hold 1..=64 lanes"
-        );
-        let decomps: Vec<_> = pairs
-            .iter()
-            .map(|(a, b)| (decompose_operand(a, self.n), decompose_operand(b, self.n)))
-            .collect();
-        // Row-major chunk staging: row i holds chunk i of every lane.
-        let chunk_rows: Vec<Vec<&Uint>> = (0..8)
-            .map(|i| {
-                decomps
-                    .iter()
-                    .map(|(da, db)| {
-                        if i < 4 {
-                            &da.chunks[i]
-                        } else {
-                            &db.chunks[i - 4]
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut array = Crossbar::new_sliced(ROWS, cols, pairs.len())?;
-        let mut exec = Executor::new(&mut array);
-        let mut prog = self.chunk_writes_batch(&chunk_rows);
-        prog.extend_from_slice(&self.addition_suffix(ADDITIONS.len()).ops);
-        cim_check::debug_assert_verified(
-            &prog,
-            &cim_check::VerifyConfig::new(ROWS, cols),
-            "PrecomputeStage::batch_program",
-        );
-        exec.run(&prog)?;
-
-        // One word-level read per leaf row; `lane_limbs` fans the
-        // column words back out into per-lane values.
-        let read_leaf_row = |exec: &Executor<'_>, row: usize| -> Result<Vec<Uint>, CrossbarError> {
-            let mut row_cols = Vec::new();
-            exec.array().read_row_lane_words(row, 0..cols, &mut row_cols)?;
-            Ok(cim_crossbar::lanes::lane_limbs(&row_cols, pairs.len())
-                .into_iter()
-                .map(Uint::from_limbs)
-                .collect())
-        };
-        let mut a_rows: [Vec<Uint>; LEAVES] = Default::default();
-        let mut b_rows: [Vec<Uint>; LEAVES] = Default::default();
-        for i in 0..LEAVES {
-            a_rows[i] = read_leaf_row(&exec, A_LEAF_ROWS[i])?;
-            b_rows[i] = read_leaf_row(&exec, B_LEAF_ROWS[i])?;
-        }
-        let mut a_leaves = Vec::with_capacity(pairs.len());
-        let mut b_leaves = Vec::with_capacity(pairs.len());
-        for lane in 0..pairs.len() {
-            let a_set: [Uint; LEAVES] = std::array::from_fn(|i| a_rows[i][lane].clone());
-            let b_set: [Uint; LEAVES] = std::array::from_fn(|i| b_rows[i][lane].clone());
-            debug_assert_eq!(a_set, decomps[lane].0.leaves);
-            debug_assert_eq!(b_set, decomps[lane].1.leaves);
-            a_leaves.push(a_set);
-            b_leaves.push(b_set);
-        }
-
-        exec.step(&MicroOp::reset_region(0..RESULT_BASE + 10, 0..cols))?;
-        let stats = *exec.stats();
-        let endurance = EnduranceReport::per_lane(&array);
-        Ok(BatchPrecomputeOutput {
-            a_leaves,
-            b_leaves,
-            stats,
-            endurance,
-        })
+        let operands: Vec<(&Uint, &Uint)> = pairs.iter().map(|(a, b)| (a, b)).collect();
+        self.run_lanes(&operands, false, &Tracer::disabled(), TrackId(0), 0)
     }
 
     /// The operand-independent addition suffix covering the first
@@ -419,8 +348,8 @@ impl PrecomputeStage {
     /// program and statically verifies it (debug/test builds). The
     /// composed program needs no preload declarations: the chunk
     /// writes define every operand the additions consume.
-    fn compose_program(&self, chunks: &[&Uint], additions: usize) -> Vec<MicroOp> {
-        let mut prog = self.chunk_writes(chunks);
+    fn compose_program(&self, operands: &[(&Uint, &Uint)], additions: usize) -> Vec<MicroOp> {
+        let mut prog = self.chunk_writes(&self.decompose(operands));
         prog.extend_from_slice(&self.addition_suffix(additions).ops);
         cim_check::debug_assert_verified(
             &prog,
@@ -439,10 +368,7 @@ impl PrecomputeStage {
     /// Panics if an operand does not fit in `n` bits, or (debug/test
     /// builds) if the composed program fails static verification.
     pub fn program(&self, a: &Uint, b: &Uint) -> Vec<MicroOp> {
-        let da = decompose_operand(a, self.n);
-        let db = decompose_operand(b, self.n);
-        let chunks: Vec<&Uint> = da.chunks.iter().chain(db.chunks.iter()).collect();
-        self.compose_program(&chunks, ADDITIONS.len())
+        self.compose_program(&[(a, b)], ADDITIONS.len())
     }
 
     /// The squaring variant of [`PrecomputeStage::program`]: both
@@ -453,15 +379,17 @@ impl PrecomputeStage {
     ///
     /// Panics as [`PrecomputeStage::program`] does.
     pub fn square_program(&self, a: &Uint) -> Vec<MicroOp> {
-        let da = decompose_operand(a, self.n);
-        let chunks: Vec<&Uint> = da.chunks.iter().chain(da.chunks.iter()).collect();
-        self.compose_program(&chunks, 5)
+        self.compose_program(&[(a, a)], SQUARE_ADDITIONS)
     }
 
     /// Runs the stage for a squaring: the `b`-side sums equal the
     /// `a`-side sums, so only five additions execute and the controller
     /// mirrors the results — the stage runs in
-    /// [`PrecomputeStage::square_latency`] cycles.
+    /// [`PrecomputeStage::square_latency`] cycles. The same four chunks
+    /// go into *both* operand banks (the paper's write circuit can
+    /// drive two word lines with the same word, so this still charges
+    /// 8 write cycles — kept identical to the general case for a
+    /// conservative count).
     ///
     /// # Errors
     ///
@@ -471,33 +399,8 @@ impl PrecomputeStage {
     ///
     /// Panics if the operand does not fit in `n` bits.
     pub fn run_square(&self, a: &Uint) -> Result<PrecomputeOutput, CrossbarError> {
-        let cols = self.cols();
-        let da = decompose_operand(a, self.n);
-        let mut array = Crossbar::new(ROWS, cols)?;
-        let mut exec = Executor::new(&mut array);
-        // The same four chunks go into BOTH operand banks (the paper's
-        // write circuit can drive two word lines with the same word,
-        // so this still charges 8 write cycles — kept identical to the
-        // general case for a conservative count), then the five a-side
-        // additions — all one verified program.
-        exec.run(&self.square_program(a))?;
-        let read_leaf = |exec: &Executor<'_>, row: usize| -> Result<Uint, CrossbarError> {
-            Ok(Uint::from_bits(&exec.array().read_row_bits(row, 0..cols)?))
-        };
-        let mut a_leaves: [Uint; LEAVES] = Default::default();
-        for i in 0..LEAVES {
-            a_leaves[i] = read_leaf(&exec, A_LEAF_ROWS[i])?;
-        }
-        exec.step(&MicroOp::reset_region(0..RESULT_BASE + 10, 0..cols))?;
-        let stats = *exec.stats();
-        let endurance = EnduranceReport::from_array(&array);
-        debug_assert_eq!(a_leaves, da.leaves);
-        Ok(PrecomputeOutput {
-            b_leaves: a_leaves.clone(),
-            a_leaves,
-            stats,
-            endurance,
-        })
+        self.run_lanes(&[(a, a)], true, &Tracer::disabled(), TrackId(0), 0)
+            .map(BatchPrecomputeOutput::into_single)
     }
 
     /// Runs the stage on a fresh array.
@@ -536,26 +439,44 @@ impl PrecomputeStage {
         track: TrackId,
         start_cycle: u64,
     ) -> Result<PrecomputeOutput, CrossbarError> {
-        let n = self.n;
-        let cols = self.cols();
-        let da = decompose_operand(a, n);
-        let db = decompose_operand(b, n);
+        self.run_lanes(&[(a, b)], false, tracer, track, start_cycle)
+            .map(BatchPrecomputeOutput::into_single)
+    }
 
-        let mut array = Crossbar::new(ROWS, cols)?;
+    /// The stage body, for one operand pair per lane: the chunk writes,
+    /// the tree additions (all ten, or with `square` — `a = b` in every
+    /// lane — the five `a`-side ones, the `b`-side leaves mirroring the
+    /// `a`-side ones), the leaf handoff reads and the reset wave.
+    pub(crate) fn run_lanes(
+        &self,
+        operands: &[(&Uint, &Uint)],
+        square: bool,
+        tracer: &Tracer,
+        track: TrackId,
+        start_cycle: u64,
+    ) -> Result<BatchPrecomputeOutput, CrossbarError> {
+        let additions = if square {
+            SQUARE_ADDITIONS
+        } else {
+            ADDITIONS.len()
+        };
+        let cols = self.cols();
+        let lanes = operands.len();
+        let mut array = crate::lane_array(ROWS, cols, lanes)?;
         let mut exec = Executor::new(&mut array);
         exec.attach_tracer_at(tracer, track, start_cycle);
         let stage = tracer.span_at(track, "precompute", start_cycle);
 
-        // (i)+(ii) The 8 chunk writes and the ten tree additions —
-        // 8 + 10·adder cc. The operand writes are rebuilt per call;
-        // the addition suffix comes from the program cache and is
+        // (i)+(ii) The 8 chunk writes and the tree additions —
+        // 8 + additions·adder cc. The operand writes are rebuilt per
+        // call; the addition suffix comes from the program cache and is
         // executed in per-addition slices so each addition's op events
-        // nest under its own span. The op sequence is identical to
-        // [`PrecomputeStage::program`] (asserted below in debug/test
-        // builds via the same static verification).
-        let chunks: Vec<&Uint> = da.chunks.iter().chain(db.chunks.iter()).collect();
-        let writes_prog = self.chunk_writes(&chunks);
-        let suffix = self.addition_suffix(ADDITIONS.len());
+        // nest under its own span. The op sequence is that of
+        // [`PrecomputeStage::compose_program`], checked by the same
+        // static verification.
+        let decomps = self.decompose(operands);
+        let writes_prog = self.chunk_writes(&decomps);
+        let suffix = self.addition_suffix(additions);
         if cfg!(debug_assertions) {
             let mut full = writes_prog.clone();
             full.extend_from_slice(&suffix.ops);
@@ -571,7 +492,7 @@ impl PrecomputeStage {
         // Per-addition slices come from the suffix's bounds — after
         // optimization the additions are no longer uniform in length.
         let mut slice_start = 0;
-        for (i, name) in ADDITION_NAMES.iter().enumerate() {
+        for (i, name) in ADDITION_NAMES[..additions].iter().enumerate() {
             let from = start_cycle + exec.stats().cycles;
             let span = tracer.span_at(track, *name, from);
             exec.run(&suffix.ops[slice_start..suffix.bounds[i]])?;
@@ -580,15 +501,12 @@ impl PrecomputeStage {
         }
 
         // Read the 18 leaves (handoff — charged at the pipeline level).
-        let read_leaf = |exec: &Executor<'_>, row: usize| -> Result<Uint, CrossbarError> {
-            Ok(Uint::from_bits(&exec.array().read_row_bits(row, 0..cols)?))
+        let a_leaves = read_leaves(exec.array(), &A_LEAF_ROWS, cols, lanes)?;
+        let b_leaves = if square {
+            a_leaves.clone()
+        } else {
+            read_leaves(exec.array(), &B_LEAF_ROWS, cols, lanes)?
         };
-        let mut a_leaves: [Uint; LEAVES] = Default::default();
-        let mut b_leaves: [Uint; LEAVES] = Default::default();
-        for i in 0..LEAVES {
-            a_leaves[i] = read_leaf(&exec, A_LEAF_ROWS[i])?;
-            b_leaves[i] = read_leaf(&exec, B_LEAF_ROWS[i])?;
-        }
 
         // (iii) Reset the input/result region for the next
         // multiplication — 1 cc.
@@ -596,17 +514,46 @@ impl PrecomputeStage {
         stage.end(start_cycle + exec.stats().cycles);
 
         let stats = *exec.stats();
-        let endurance = EnduranceReport::from_array(&array);
+        let endurance = EnduranceReport::per_lane(&array);
         // Sanity: the stage must agree with the software decomposition.
-        debug_assert_eq!(a_leaves, da.leaves);
-        debug_assert_eq!(b_leaves, db.leaves);
-        Ok(PrecomputeOutput {
+        for (l, (da, db)) in decomps.iter().enumerate() {
+            debug_assert_eq!(a_leaves[l], da.leaves, "lane {l}");
+            debug_assert_eq!(b_leaves[l], db.leaves, "lane {l}");
+        }
+        Ok(BatchPrecomputeOutput {
             a_leaves,
             b_leaves,
             stats,
             endurance,
         })
     }
+}
+
+impl BatchPrecomputeOutput {
+    fn into_single(self) -> PrecomputeOutput {
+        PrecomputeOutput {
+            a_leaves: crate::single(self.a_leaves),
+            b_leaves: crate::single(self.b_leaves),
+            stats: self.stats,
+            endurance: crate::single(self.endurance),
+        }
+    }
+}
+
+/// Reads the nine leaf rows `rows` of every lane, in leaf order.
+fn read_leaves(
+    array: &Crossbar,
+    rows: &[usize; LEAVES],
+    cols: usize,
+    lanes: usize,
+) -> Result<Vec<[Uint; LEAVES]>, CrossbarError> {
+    let per_row = rows
+        .iter()
+        .map(|&row| array.read_row_lanes(row, 0..cols, lanes))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((0..lanes)
+        .map(|l| std::array::from_fn(|i| Uint::from_limbs(per_row[i][l].clone())))
+        .collect())
 }
 
 #[cfg(test)]

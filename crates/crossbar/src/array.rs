@@ -222,28 +222,6 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Reads the bits of `row` over the column span as little-endian
-    /// `u64` words aligned to `cols.start` — the word-parallel sense
-    /// path used by bulk arithmetic such as the in-row multiplier.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the coordinates are out of range.
-    pub fn read_row_words(
-        &self,
-        row: usize,
-        cols: ColRange,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CrossbarError> {
-        self.check_row(row)?;
-        self.check_cols(&cols)?;
-        match &self.state {
-            Backing::Packed(p) => p.read_words_into(row, cols, out),
-            Backing::Sliced(p) => p.read_words_into(row, cols, out),
-        }
-        Ok(())
-    }
-
     /// Writes `bits` into `row` starting at column `col_offset`.
     ///
     /// # Errors
@@ -264,96 +242,159 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Writes `len` bits from little-endian `words` into `row` at
-    /// `col_offset` — the word-parallel counterpart of
-    /// [`Crossbar::write_row`], with identical per-cell wear.
+    /// Writes one `len`-bit operand per batch lane into `row` at
+    /// `col_offset` — the execution of [`crate::MicroOp::WriteRowLanes`]:
+    /// `lanes[l]` holds lane `l`'s bits as little-endian limbs (missing
+    /// limbs and lanes write 0). Every cell in the span wears exactly
+    /// once, on every lane, same as a broadcast row write. On the
+    /// packed backend lane 0 is written a word at a time.
     ///
     /// # Errors
     ///
     /// Returns an error if the span exceeds the array.
-    pub fn write_row_words(
+    pub fn write_row_lanes<L: AsRef<[u64]>>(
         &mut self,
         row: usize,
         col_offset: usize,
-        words: &[u64],
         len: usize,
+        lanes: &[L],
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
         self.check_cols(&(col_offset..col_offset + len))?;
         match &mut self.state {
-            Backing::Packed(p) => p.write_words(row, col_offset, words, len),
-            Backing::Sliced(p) => p.write_words(row, col_offset, words, len),
+            Backing::Packed(p) => p.write_words(row, col_offset, lane0(lanes), len),
+            Backing::Sliced(p) => {
+                p.write_lanes(row, col_offset, &crate::lanes::transpose_lanes(lanes, len));
+            }
         }
         Ok(())
     }
 
-    /// Writes one *lane word* per column into `row` starting at
-    /// `col_offset` — the lane-transposed counterpart of
-    /// [`Crossbar::write_row`]: bit `l` of `lane_words[j]` is the bit
-    /// written into lane `l` of column `col_offset + j`. Every cell in
-    /// the span wears exactly once, on every lane, same as a broadcast
-    /// row write. On the packed backend this degrades to writing the
-    /// lane-0 bits.
+    /// Reads `len` columns of `row` from `col_offset` back as one
+    /// little-endian limb vector per lane, for lanes `0..lanes`,
+    /// fault-adjusted — the inverse of [`Crossbar::write_row_lanes`].
+    /// On the packed backend lane 0 is read a word at a time.
     ///
     /// # Errors
     ///
-    /// Returns an error if the span exceeds the array.
-    pub fn write_row_lanes(
-        &mut self,
+    /// Returns an error if the coordinates are out of range or `lanes`
+    /// exceeds [`Crossbar::lanes`].
+    pub fn read_row_lanes(
+        &self,
         row: usize,
-        col_offset: usize,
-        lane_words: &[u64],
-    ) -> Result<(), CrossbarError> {
+        cols: ColRange,
+        lanes: usize,
+    ) -> Result<Vec<Vec<u64>>, CrossbarError> {
         self.check_row(row)?;
-        self.check_cols(&(col_offset..col_offset + lane_words.len()))?;
-        if let Backing::Sliced(p) = &mut self.state {
-            p.write_lanes(row, col_offset, lane_words);
-            return Ok(());
+        self.check_cols(&cols)?;
+        if lanes > self.lanes() {
+            self.check_lane(lanes - 1)?;
         }
-        let bits: Vec<bool> = lane_words.iter().map(|&w| w & 1 == 1).collect();
-        self.write_row(row, col_offset, &bits)
+        let mut words = Vec::new();
+        Ok(match &self.state {
+            Backing::Packed(p) => {
+                p.read_words_into(row, cols, &mut words);
+                vec![words; lanes]
+            }
+            Backing::Sliced(p) => {
+                p.read_lane_words(row, cols, &mut words);
+                crate::lanes::lane_limbs(&words, lanes)
+            }
+        })
     }
 
-    /// Lane-masked variant of [`Crossbar::write_row_lanes`]: only the
-    /// lanes selected by `mask` take the new values and wear; the other
-    /// lanes keep both value and wear untouched — the primitive behind
-    /// data-dependent batch steps (a shift-add iteration only pulses
-    /// the lanes whose multiplier bit is set). On the packed backend
-    /// lane 0 is written iff bit 0 of `mask` is set.
+    /// Stores one `len`-bit value per lane (little-endian limbs, bits
+    /// at `len` and beyond ignored) into `row` at `col_offset` for the
+    /// lanes in `mask` — the value half of a lane write — without
+    /// recording any wear. Fault lanes keep their value. On the packed
+    /// backend lane 0 is stored a word at a time iff bit 0 of `mask`
+    /// is set.
+    ///
+    /// Fast paths that compute final cell values in the controller use
+    /// this plus the wear halves ([`Crossbar::wear_region`],
+    /// [`Crossbar::wear_row_lanes_masked`]) to account a sequence of
+    /// writes pulse for pulse while issuing the value changes only
+    /// once; composing the halves in the same spans as the writes they
+    /// replace keeps every per-cell observable identical to executing
+    /// the writes one by one.
     ///
     /// # Errors
     ///
     /// Returns an error if the span exceeds the array.
-    pub fn write_row_lanes_masked(
+    pub fn store_row_lanes<L: AsRef<[u64]>>(
         &mut self,
         row: usize,
         col_offset: usize,
-        lane_words: &[u64],
+        len: usize,
+        lanes: &[L],
         mask: u64,
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
-        self.check_cols(&(col_offset..col_offset + lane_words.len()))?;
-        if let Backing::Sliced(p) = &mut self.state {
-            p.write_lanes_masked(row, col_offset, lane_words, mask);
-            return Ok(());
+        self.check_cols(&(col_offset..col_offset + len))?;
+        match &mut self.state {
+            Backing::Packed(p) => {
+                if mask & 1 == 1 {
+                    p.store_words(row, col_offset, lane0(lanes), len);
+                }
+            }
+            Backing::Sliced(p) => p.store_lane_words(
+                row,
+                col_offset,
+                &crate::lanes::transpose_lanes(lanes, len),
+                mask,
+            ),
         }
-        if mask & 1 == 1 {
-            let bits: Vec<bool> = lane_words.iter().map(|&w| w & 1 == 1).collect();
-            self.write_row(row, col_offset, &bits)
-        } else {
-            Ok(())
+        Ok(())
+    }
+
+    /// Writes one cell's *lane word* (bit `l` = lane `l`) for the lanes
+    /// in `mask` only; the other lanes keep both value and wear — the
+    /// primitive behind data-dependent lane steps (a shift-add
+    /// iteration only pulses the lanes whose multiplier bit is set). On
+    /// the packed backend the cell takes bit 0 iff bit 0 of `mask` is
+    /// set.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the coordinates are out of range.
+    pub fn write_cell_lanes(
+        &mut self,
+        row: usize,
+        col: usize,
+        word: u64,
+        mask: u64,
+    ) -> Result<(), CrossbarError> {
+        self.check_row(row)?;
+        self.check_cols(&(col..col + 1))?;
+        match &mut self.state {
+            Backing::Packed(p) => {
+                if mask & 1 == 1 {
+                    p.write_words(row, col, &[word & 1], 1);
+                }
+            }
+            Backing::Sliced(p) => p.write_lanes_masked(row, col, &[word], mask),
         }
+        Ok(())
+    }
+
+    /// Reads all lanes of one cell as a fault-adjusted lane word (bit
+    /// `l` = lane `l`); 0 or 1 on the packed backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the coordinates are out of range.
+    pub fn read_cell_lanes(&self, row: usize, col: usize) -> Result<u64, CrossbarError> {
+        self.check_row(row)?;
+        self.check_cols(&(col..col + 1))?;
+        Ok(match &self.state {
+            Backing::Sliced(p) => p.read_word(row, col),
+            Backing::Packed(p) => p.read_bit(row, col) as u64,
+        })
     }
 
     /// Adds `pulses` write pulses of wear to every cell (every lane)
-    /// of `region` without changing values — the wear half of a write.
-    ///
-    /// Batch fast paths that compute final cell values in the
-    /// controller use this (plus [`Crossbar::store_row_lane_words`])
-    /// to account a sequence of writes pulse for pulse while issuing
-    /// the value changes only once; composing the two halves in the
-    /// same spans as the writes they replace keeps every per-cell
-    /// observable identical to executing the writes one by one.
+    /// of `region` without changing values — the wear half of a
+    /// broadcast write (see [`Crossbar::store_row_lanes`]).
     ///
     /// # Errors
     ///
@@ -381,10 +422,10 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Records one write pulse of wear over the span for the lanes in
-    /// `mask` — the wear half of [`Crossbar::write_row_lanes_masked`]
-    /// — without touching values. On the packed backend the cells
-    /// wear iff bit 0 of `mask` is set.
+    /// Records `pulses` write pulses of wear over the span for the
+    /// lanes in `mask` — the wear half of that many masked lane writes
+    /// (see [`Crossbar::store_row_lanes`]) — without touching values.
+    /// On the packed backend the cells wear iff bit 0 of `mask` is set.
     ///
     /// # Errors
     ///
@@ -394,120 +435,19 @@ impl Crossbar {
         row: usize,
         cols: ColRange,
         mask: u64,
+        pulses: u64,
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
         self.check_cols(&cols)?;
         match &mut self.state {
-            Backing::Sliced(p) => p.wear_masked(row, cols, mask),
+            Backing::Sliced(p) => p.wear_masked(row, cols, mask, pulses),
             Backing::Packed(p) => {
                 if mask & 1 == 1 {
-                    p.wear.add(row, cols, 1);
+                    p.wear.add(row, cols, pulses);
                 }
             }
         }
         Ok(())
-    }
-
-    /// Stores one lane word per column for the lanes in `mask` — the
-    /// value half of [`Crossbar::write_row_lanes_masked`] — without
-    /// recording any wear. Fault lanes keep their value. On the
-    /// packed backend the lane-0 bits are stored iff bit 0 of `mask`
-    /// is set.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the span exceeds the array.
-    pub fn store_row_lane_words(
-        &mut self,
-        row: usize,
-        col_offset: usize,
-        words: &[u64],
-        mask: u64,
-    ) -> Result<(), CrossbarError> {
-        self.check_row(row)?;
-        self.check_cols(&(col_offset..col_offset + words.len()))?;
-        match &mut self.state {
-            Backing::Sliced(p) => p.store_lane_words(row, col_offset, words, mask),
-            Backing::Packed(p) => {
-                if mask & 1 == 1 {
-                    for (j, &w) in words.iter().enumerate() {
-                        p.store_bit(row, col_offset + j, w & 1 == 1);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads the span of `row` as one fault-adjusted *lane word* per
-    /// column — the bulk sense path of batch arithmetic. On the
-    /// packed backend each word is 0 or 1 (the lane-0 bit).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the coordinates are out of range.
-    pub fn read_row_lane_words(
-        &self,
-        row: usize,
-        cols: ColRange,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CrossbarError> {
-        self.check_row(row)?;
-        self.check_cols(&cols)?;
-        match &self.state {
-            Backing::Sliced(p) => {
-                p.read_lane_words(row, cols, out);
-                Ok(())
-            }
-            Backing::Packed(_) => {
-                out.clear();
-                out.reserve(cols.len());
-                for col in cols {
-                    out.push(self.read_cell(row, col)? as u64);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Reads all lanes of one cell as a fault-adjusted lane word (bit
-    /// `l` = lane `l`); 0 or 1 on the packed backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the coordinates are out of range.
-    pub fn read_cell_lanes(&self, row: usize, col: usize) -> Result<u64, CrossbarError> {
-        self.check_row(row)?;
-        self.check_cols(&(col..col + 1))?;
-        Ok(match &self.state {
-            Backing::Sliced(p) => p.read_word(row, col),
-            Backing::Packed(_) => self.read_cell(row, col)? as u64,
-        })
-    }
-
-    /// Reads one lane's bits of `row` over the column span — the
-    /// per-lane readout path. Lane 0 is valid on every backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the coordinates or lane are out of range.
-    pub fn read_row_lane_bits(
-        &self,
-        lane: usize,
-        row: usize,
-        cols: ColRange,
-    ) -> Result<Vec<bool>, CrossbarError> {
-        self.check_lane(lane)?;
-        self.check_row(row)?;
-        self.check_cols(&cols)?;
-        match &self.state {
-            Backing::Sliced(p) => {
-                let mut out = Vec::new();
-                p.read_lane_into(lane, row, cols, &mut out);
-                Ok(out)
-            }
-            Backing::Packed(_) => self.read_row_bits(row, cols),
-        }
     }
 
     /// Drives every cell of `region` to logic 1 (MAGIC output
@@ -713,15 +653,16 @@ impl Crossbar {
         self.check_cols(&cols)?;
         // The sliced backend moves whole lane words per column; the
         // packed path goes through the bit-plane word form.
-        if let Backing::Sliced(p) = &mut self.state {
-            p.shift(src, dst, cols, offset, fill);
-            return Ok(());
+        match &mut self.state {
+            Backing::Sliced(p) => p.shift(src, dst, cols, offset, fill),
+            Backing::Packed(p) => {
+                let mut words = Vec::new();
+                p.read_words_into(src, cols.clone(), &mut words);
+                let shifted = crate::packed::shift_words(&words, cols.len(), offset, fill);
+                p.write_words(dst, cols.start, &shifted, cols.len());
+            }
         }
-        let w = cols.len();
-        let mut words = Vec::new();
-        self.read_row_words(src, cols.clone(), &mut words)?;
-        let shifted = crate::packed::shift_words(&words, w, offset, fill);
-        self.write_row_words(dst, cols.start, &shifted, w)
+        Ok(())
     }
 
     /// In-place periphery shift with zero fill; see
@@ -976,6 +917,12 @@ impl Crossbar {
         }
         out
     }
+}
+
+/// Lane 0's limbs of a per-lane operand list (empty when no lane is
+/// given, i.e. all zeros).
+fn lane0<L: AsRef<[u64]>>(lanes: &[L]) -> &[u64] {
+    lanes.first().map_or(&[], AsRef::as_ref)
 }
 
 /// Semantic equality: same geometry and, per cell, the same underlying
@@ -1289,25 +1236,35 @@ mod tests {
     }
 
     #[test]
-    fn word_level_read_write_both_backends() {
+    fn lane_staging_round_trips_on_both_backends() {
+        let words = vec![
+            0xAAAA_5555_F0F0_0F0Fu64,
+            0x1234_5678_9ABC_DEF0 & ((1 << 37) - 1),
+        ];
+        let other = vec![!words[0], words[1] ^ 1];
         for kind in [BackendKind::Packed, BackendKind::Sliced] {
             let mut x = Crossbar::with_backend(2, 150, kind).unwrap();
-            let words = [0xAAAA_5555_F0F0_0F0Fu64, 0x1234_5678_9ABC_DEF0];
-            x.write_row_words(1, 17, &words, 101).unwrap();
-            let mut back = Vec::new();
-            x.read_row_words(1, 17..118, &mut back).unwrap();
-            let mut expect = words.to_vec();
-            crate::packed::mask_tail(&mut expect, 101);
-            assert_eq!(back, expect, "{kind:?}");
-            // Bit view agrees with word view.
+            let lanes = x.lanes().min(2);
+            let per_lane = &[words.clone(), other.clone()][..lanes];
+            x.write_row_lanes(1, 17, 101, per_lane).unwrap();
+            assert_eq!(
+                x.read_row_lanes(1, 17..118, lanes).unwrap(),
+                per_lane,
+                "{kind:?}"
+            );
+            // The lane-0 bit view agrees with the limb view.
             let bits = x.read_row_bits(1, 17..118).unwrap();
             for (j, &b) in bits.iter().enumerate() {
-                assert_eq!(b, (expect[j / 64] >> (j % 64)) & 1 == 1);
+                assert_eq!(b, (words[j / 64] >> (j % 64)) & 1 == 1);
             }
             // Every written cell wore exactly once.
             assert_eq!(x.cell(1, 17).unwrap().writes(), 1);
             assert_eq!(x.cell(1, 117).unwrap().writes(), 1);
             assert_eq!(x.cell(1, 16).unwrap().writes(), 0);
+            // A store changes values, not wear.
+            x.store_row_lanes(1, 17, 101, &[vec![0u64; 2]], 1).unwrap();
+            assert_eq!(x.read_row_lanes(1, 17..118, 1).unwrap(), vec![vec![0, 0]]);
+            assert_eq!(x.cell(1, 17).unwrap().writes(), 1);
         }
     }
 

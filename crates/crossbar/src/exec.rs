@@ -129,9 +129,9 @@ impl OpTrace {
             },
             // Same write circuit, same trace shape: a lane-staged write
             // is indistinguishable from a solo row write of the span.
-            MicroOp::WriteRowLanes { row, lane_words, .. } => OpTrace::Write {
+            MicroOp::WriteRowLanes { row, len, .. } => OpTrace::Write {
                 row: *row,
-                bits: lane_words.len(),
+                bits: *len,
             },
             MicroOp::ReadRow { row, cols } => OpTrace::Read {
                 row: *row,
@@ -546,9 +546,10 @@ impl<'a> Executor<'a> {
             MicroOp::WriteRowLanes {
                 row,
                 col_offset,
-                lane_words,
+                len,
+                lanes,
             } => {
-                self.array.write_row_lanes(*row, *col_offset, lane_words)?;
+                self.array.write_row_lanes(*row, *col_offset, *len, lanes)?;
                 OpClass::Write
             }
             MicroOp::ReadRow { row, cols } => {

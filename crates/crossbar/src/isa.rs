@@ -28,20 +28,23 @@ pub enum MicroOp {
         /// Bit payload.
         bits: Vec<bool>,
     },
-    /// Write one *lane word* per column into `row` starting at
-    /// `col_offset` (1 cc): bit `l` of `lane_words[j]` is the bit for
-    /// batch lane `l` of column `col_offset + j`. On a sliced array
-    /// this stages up to 64 independent operands in the same write
-    /// pulse a [`MicroOp::WriteRow`] would take; on packed arrays
-    /// the lane-0 bits are written. Cycle cost, wear and trace
+    /// Write one `len`-bit operand per batch lane into `row` starting
+    /// at `col_offset` (1 cc): `lanes[l]` holds lane `l`'s bits as
+    /// little-endian `u64` limbs (bit `j` lands in column
+    /// `col_offset + j`; missing limbs and lanes write 0). On a sliced
+    /// array this stages up to [`crate::MAX_BATCH_LANES`] independent
+    /// operands in the same write pulse a [`MicroOp::WriteRow`] would
+    /// take; a packed array takes lane 0. Cycle cost, wear and trace
     /// shape are identical to `WriteRow` of the same span.
     WriteRowLanes {
         /// Target word line.
         row: usize,
         /// First column written.
         col_offset: usize,
-        /// One lane word per column.
-        lane_words: Vec<u64>,
+        /// Columns written.
+        len: usize,
+        /// One little-endian limb vector per lane.
+        lanes: Vec<Vec<u64>>,
     },
     /// Read a row span; the value is latched into the executor's
     /// read buffer (1 cc).
@@ -154,12 +157,40 @@ impl MicroOp {
         }
     }
 
-    /// Writes one lane word per column into `row` at `col_offset`.
-    pub fn write_row_lanes(row: usize, col_offset: usize, lane_words: &[u64]) -> Self {
+    /// Writes one `len`-bit operand per lane (little-endian limbs)
+    /// into `row` at `col_offset`; see [`MicroOp::WriteRowLanes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than [`crate::MAX_BATCH_LANES`] lanes are given
+    /// or an operand has a set bit at column `len` or beyond.
+    pub fn write_row_lanes<L: AsRef<[u64]>>(
+        row: usize,
+        col_offset: usize,
+        len: usize,
+        lanes: &[L],
+    ) -> Self {
+        assert!(
+            lanes.len() <= crate::MAX_BATCH_LANES,
+            "at most {} lanes per write",
+            crate::MAX_BATCH_LANES
+        );
+        for limbs in lanes {
+            let limbs = limbs.as_ref();
+            let bits = limbs
+                .iter()
+                .rposition(|&w| w != 0)
+                .map_or(0, |i| 64 * i + 64 - limbs[i].leading_zeros() as usize);
+            assert!(
+                bits <= len,
+                "operand of {bits} bits does not fit in {len} columns"
+            );
+        }
         MicroOp::WriteRowLanes {
             row,
             col_offset,
-            lane_words: lane_words.to_vec(),
+            len,
+            lanes: lanes.iter().map(|l| l.as_ref().to_vec()).collect(),
         }
     }
 
@@ -362,10 +393,11 @@ impl MicroOp {
             MicroOp::WriteRowLanes {
                 row,
                 col_offset,
-                lane_words,
+                len,
+                ..
             } => OpFootprint {
                 reads: Vec::new(),
-                writes: vec![row_span(*row, &(*col_offset..col_offset + lane_words.len()))],
+                writes: vec![row_span(*row, &(*col_offset..col_offset + len))],
             },
             MicroOp::ReadRow { row, cols } => OpFootprint {
                 reads: vec![row_span(*row, cols)],

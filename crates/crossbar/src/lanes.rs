@@ -1,14 +1,30 @@
-//! Lane-word transposition for the bit-sliced backend's controller
-//! paths.
+//! Lane-word transposition behind the crossbar's per-lane staging and
+//! readback ([`crate::MicroOp::write_row_lanes`],
+//! [`crate::Crossbar::read_row_lanes`],
+//! [`crate::Crossbar::store_row_lanes`]).
 //!
 //! The sliced backend stores one `u64` per cell where bit `l` is lane
-//! `l`'s value, while controllers (the batch multiplier stages) hold
-//! each lane's operand as little-endian `u64` limbs where bit `j` is
-//! column `j`. Moving between the two representations bit by bit costs
+//! `l`'s value, while controllers (the multiplier stages) hold each
+//! lane's operand as little-endian `u64` limbs where bit `j` is column
+//! `j`. Moving between the two representations bit by bit costs
 //! `lanes × cols` shift/or operations per staging or readout — the
-//! dominant controller cost of a 64-lane batch. These helpers do the
+//! dominant controller cost of a full batch. These helpers do the
 //! same conversion as 64×64 bit-matrix transposes, `O(cols · log 64)`
 //! word operations total.
+
+/// The lane mask selecting lanes `0..lanes`.
+///
+/// # Panics
+///
+/// Panics if `lanes` exceeds [`crate::MAX_BATCH_LANES`].
+pub fn lane_mask(lanes: usize) -> u64 {
+    assert!(lanes <= crate::MAX_BATCH_LANES, "at most 64 lanes per word");
+    if lanes == crate::MAX_BATCH_LANES {
+        u64::MAX
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
 
 /// In-place 64×64 bit-matrix transpose: afterwards, bit `i` of
 /// `m[b]` equals what bit `b` of `m[i]` was (Hacker's Delight 7-3,
@@ -17,12 +33,15 @@ fn transpose64(m: &mut [u64; 64]) {
     let mut j = 32;
     let mut mask = 0x0000_0000_FFFF_FFFFu64;
     while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = (m[k] >> j ^ m[k + j]) & mask;
-            m[k] ^= t << j;
-            m[k + j] ^= t;
-            k = (k + j + 1) & !j;
+        // Swap the off-diagonal `j × j` bit blocks of every `2j`-row
+        // band: a contiguous zip the compiler vectorizes.
+        for band in m.chunks_exact_mut(2 * j) {
+            let (lo, hi) = band.split_at_mut(j);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                let t = (*a >> j ^ *b) & mask;
+                *a ^= t << j;
+                *b ^= t;
+            }
         }
         j >>= 1;
         mask ^= mask << j;
@@ -37,14 +56,14 @@ fn transpose64(m: &mut [u64; 64]) {
 /// # Panics
 ///
 /// Panics if more than 64 lanes are given.
-pub fn transpose_lanes(per_lane: &[&[u64]], cols: usize) -> Vec<u64> {
+pub fn transpose_lanes<L: AsRef<[u64]>>(per_lane: &[L], cols: usize) -> Vec<u64> {
     assert!(per_lane.len() <= 64, "at most 64 lanes per word");
     let mut out = vec![0u64; cols];
     let mut buf = [0u64; 64];
     for (bi, chunk) in out.chunks_mut(64).enumerate() {
         buf.fill(0);
         for (l, limbs) in per_lane.iter().enumerate() {
-            buf[l] = limbs.get(bi).copied().unwrap_or(0);
+            buf[l] = limbs.as_ref().get(bi).copied().unwrap_or(0);
         }
         transpose64(&mut buf);
         chunk.copy_from_slice(&buf[..chunk.len()]);

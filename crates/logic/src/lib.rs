@@ -40,6 +40,5 @@ pub mod condsub;
 pub mod gates;
 pub mod kogge_stone;
 pub mod multpim;
-pub mod program;
 pub mod ripple;
 pub mod tmr;

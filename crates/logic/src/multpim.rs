@@ -28,9 +28,12 @@
 //! cycles are charged by the formula (see DESIGN.md §1/§4).
 
 use cim_bigint::Uint;
-use cim_crossbar::{Crossbar, CrossbarError, EnduranceReport, Executor, MicroOp, Region};
+use cim_crossbar::lanes::lane_mask;
+use cim_crossbar::{
+    Crossbar, CrossbarError, EnduranceReport, Executor, MicroOp, Region, MAX_BATCH_LANES,
+};
 
-/// Little-endian word-vector helpers for the word-parallel shift-add
+/// Little-endian word-vector helpers for the word-level shift-add
 /// fast path. All vectors are LSB-aligned `u64` words with an explicit
 /// bit length; bits past the length are kept zero.
 mod wordvec {
@@ -59,24 +62,6 @@ mod wordvec {
         }
     }
 
-    /// `x + y` over `bits` bits (the callers guarantee no overflow past
-    /// `bits`; the tail is masked anyway).
-    pub(super) fn add(x: &[u64], y: &[u64], bits: usize) -> Vec<u64> {
-        let n = words_for(bits);
-        let mut out = vec![0u64; n];
-        let mut carry = false;
-        for (k, slot) in out.iter_mut().enumerate() {
-            let a = x.get(k).copied().unwrap_or(0);
-            let b = y.get(k).copied().unwrap_or(0);
-            let (s1, c1) = a.overflowing_add(b);
-            let (s2, c2) = s1.overflowing_add(carry as u64);
-            *slot = s2;
-            carry = c1 || c2;
-        }
-        mask_tail(&mut out, bits);
-        out
-    }
-
     /// `a ^ b ^ c` over `bits` bits — for a ripple sum `s = x + y`,
     /// `s ^ x ^ y` is exactly the vector of carries *into* each bit.
     pub(super) fn xor3(a: &[u64], b: &[u64], c: &[u64], bits: usize) -> Vec<u64> {
@@ -98,46 +83,6 @@ mod wordvec {
             *slot = (words[k] >> 1) | words.get(k + 1).map_or(0, |&w| w << 63);
         }
         out
-    }
-
-    /// Extracts `len` bits of `src` starting at bit `start`.
-    pub(super) fn window(src: &[u64], start: usize, len: usize) -> Vec<u64> {
-        let n = words_for(len);
-        let base = start / 64;
-        let sh = start % 64;
-        let mut out = vec![0u64; n];
-        for (k, slot) in out.iter_mut().enumerate() {
-            let lo = src.get(base + k).copied().unwrap_or(0) >> sh;
-            let hi = if sh == 0 {
-                0
-            } else {
-                src.get(base + k + 1).copied().unwrap_or(0) << (64 - sh)
-            };
-            *slot = lo | hi;
-        }
-        mask_tail(&mut out, len);
-        out
-    }
-
-    /// Overwrites `len` bits of `dst` at bit `start` with bits of `src`.
-    pub(super) fn insert(dst: &mut [u64], start: usize, len: usize, src: &[u64]) {
-        let mut remaining = len;
-        let mut k = 0;
-        while remaining > 0 {
-            let take = remaining.min(64);
-            let mask = if take == 64 { u64::MAX } else { (1u64 << take) - 1 };
-            let chunk = src.get(k).copied().unwrap_or(0) & mask;
-            let pos = start + k * 64;
-            let (wi, off) = (pos / 64, pos % 64);
-            dst[wi] = (dst[wi] & !(mask << off)) | (chunk << off);
-            if off != 0 && off + take > 64 {
-                let spill = off + take - 64;
-                let spill_mask = (1u64 << spill) - 1;
-                dst[wi + 1] = (dst[wi + 1] & !spill_mask) | (chunk >> (64 - off));
-            }
-            remaining -= take;
-            k += 1;
-        }
     }
 }
 
@@ -239,18 +184,44 @@ impl RowMultiplier {
 
     /// The operand-loading prologue as a verified micro-op program:
     /// both operands written into the row plus a reset wave over the
-    /// shared product region. Statically checked (`cim-check`) in
-    /// debug and test builds.
+    /// shared product region — the one-lane
+    /// [`RowMultiplier::load_batch_program`]. Statically checked
+    /// (`cim-check`) in debug and test builds.
     ///
     /// # Panics
     ///
     /// Panics if an operand exceeds `width` bits.
     pub fn load_program(&self, row: usize, col_base: usize, a: &Uint, b: &Uint) -> Vec<MicroOp> {
+        self.load_batch_program(row, col_base, &[(a.clone(), b.clone())])
+    }
+
+    /// The operand-loading prologue for one `(a, b)` pair per lane:
+    /// each operand write stages every lane's bits in one
+    /// [`MicroOp::write_row_lanes`], so the same three micro-ops load
+    /// one instance or a full batch — identical cycle cost, identical
+    /// trace shape, identical per-cell wear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand exceeds `width` bits or `pairs` does not
+    /// hold 1..=[`MAX_BATCH_LANES`] lanes.
+    pub fn load_batch_program(
+        &self,
+        row: usize,
+        col_base: usize,
+        pairs: &[(Uint, Uint)],
+    ) -> Vec<MicroOp> {
         let w = self.width;
         let at = |off: usize| col_base + off * w;
+        assert!(
+            (1..=MAX_BATCH_LANES).contains(&pairs.len()),
+            "batch must hold 1..={MAX_BATCH_LANES} lanes"
+        );
+        let a: Vec<&[u64]> = pairs.iter().map(|(a, _)| a.limbs()).collect();
+        let b: Vec<&[u64]> = pairs.iter().map(|(_, b)| b.limbs()).collect();
         let prog = vec![
-            MicroOp::write_row_at(row, at(A_OFF), &a.to_bits(w)),
-            MicroOp::write_row_at(row, at(B_OFF), &b.to_bits(w)),
+            MicroOp::write_row_lanes(row, at(A_OFF), w, &a),
+            MicroOp::write_row_lanes(row, at(B_OFF), w, &b),
             MicroOp::reset_region(row..row + 1, at(P_OFF)..at(P_OFF) + 2 * w),
         ];
         cim_check::debug_assert_verified(
@@ -261,11 +232,9 @@ impl RowMultiplier {
         prog
     }
 
-    /// Runs the multiplication inside row `row` of `array`, columns
-    /// `col_base..col_base + 12·w`. Operands are loaded via
-    /// [`RowMultiplier::load_program`], the shift-add iterations update
-    /// accumulator/carry/scratch cells in place, and the `2w`-bit
-    /// product is read back from the shared product region.
+    /// Runs one multiplication inside row `row` of `array`, columns
+    /// `col_base..col_base + 12·w` — the one-lane
+    /// [`RowMultiplier::run_batch_in`].
     ///
     /// # Errors
     ///
@@ -282,84 +251,20 @@ impl RowMultiplier {
         a: &Uint,
         b: &Uint,
     ) -> Result<(Uint, RowMultStats), CrossbarError> {
-        let w = self.width;
-        let at = |off: usize| col_base + off * w;
-
-        // Load operands and clear the accumulator via the verified
-        // prologue program (cycles are charged by the formula, so the
-        // temporary executor's stats are discarded).
-        let mut loader = Executor::new(&mut *array);
-        loader.run(&self.load_program(row, col_base, a, b))?;
-
-        // The word-parallel fast path mirrors the accumulator in
-        // software, which is only valid while no cell in the row
-        // region can pin a read; with faults present, fall back to the
-        // cell-by-cell reference loop (identical final state and wear).
-        let region = col_base..col_base + self.required_cols();
-        if array.row_region_fault_free(row, region)? {
-            self.shift_add_packed(array, row, col_base)?;
-        } else {
-            self.shift_add_reference(array, row, col_base)?;
-        }
-
-        // Read the product from the shared region.
-        let bits = array.read_row_bits(row, at(P_OFF)..at(P_OFF) + 2 * w)?;
-        Ok((
-            Uint::from_bits(&bits),
-            RowMultStats {
-                cycles: self.latency(),
-                iterations: w,
-            },
-        ))
+        let (mut products, stats) =
+            self.run_batch_in(array, row, col_base, &[(a.clone(), b.clone())])?;
+        Ok((products.pop().expect("one lane in, one product out"), stats))
     }
 
-    /// The batch operand-loading prologue: each `(a, b)` pair is
-    /// transposed into per-column lane words (bit `l` of the word for
-    /// column `j` = bit `j` of lane `l`'s operand), so the same three
-    /// micro-ops that load one instance load up to 64 — identical
-    /// cycle cost, identical trace shape, identical per-cell wear.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operand exceeds `width` bits or more than 64
-    /// pairs are given.
-    pub fn load_batch_program(
-        &self,
-        row: usize,
-        col_base: usize,
-        pairs: &[(Uint, Uint)],
-    ) -> Vec<MicroOp> {
-        let w = self.width;
-        let at = |off: usize| col_base + off * w;
-        assert!(
-            !pairs.is_empty() && pairs.len() <= 64,
-            "batch must hold 1..=64 lanes"
-        );
-        let a_refs: Vec<&[u64]> = pairs.iter().map(|(a, _)| a.limbs()).collect();
-        let b_refs: Vec<&[u64]> = pairs.iter().map(|(_, b)| b.limbs()).collect();
-        let a_lanes = cim_crossbar::lanes::transpose_lanes(&a_refs, w);
-        let b_lanes = cim_crossbar::lanes::transpose_lanes(&b_refs, w);
-        let prog = vec![
-            MicroOp::write_row_lanes(row, at(A_OFF), &a_lanes),
-            MicroOp::write_row_lanes(row, at(B_OFF), &b_lanes),
-            MicroOp::reset_region(row..row + 1, at(P_OFF)..at(P_OFF) + 2 * w),
-        ];
-        cim_check::debug_assert_verified(
-            &prog,
-            &cim_check::VerifyConfig::new(row + 1, col_base + self.required_cols()),
-            "RowMultiplier::load_batch_program",
-        );
-        prog
-    }
-
-    /// Runs up to 64 independent multiplications in row `row` of a
-    /// bit-sliced array — lane `l` computes `pairs[l].0 · pairs[l].1`.
-    /// One loading prologue and one shift-add pass execute every lane
-    /// in the same `O(w)` bulk operations a single instance takes, so
-    /// the analytic latency (and the trace shape) is identical to
-    /// [`RowMultiplier::run_in`]; throughput scales with the lane
-    /// count. Per lane, the final cell values and per-cell wear are
-    /// bit-identical to a solo run with the same operands.
+    /// Runs one independent multiplication per lane in row `row` of
+    /// `array`, columns `col_base..col_base + 12·w` — lane `l`
+    /// computes `pairs[l].0 · pairs[l].1`. Operands are loaded via
+    /// [`RowMultiplier::load_batch_program`], the shift-add iterations
+    /// update accumulator/carry/scratch cells in place, and each lane's
+    /// `2w`-bit product is read back from the shared product region.
+    /// The analytic latency (and the trace shape) does not depend on
+    /// the lane count; per lane, the final cell values and per-cell
+    /// wear are those of a one-lane run with the same operands.
     ///
     /// # Errors
     ///
@@ -384,24 +289,25 @@ impl RowMultiplier {
                 lanes: array.lanes(),
             });
         }
+        // Load operands and clear the accumulator via the verified
+        // prologue program (cycles are charged by the formula, so the
+        // temporary executor's stats are discarded).
         let mut loader = Executor::new(&mut *array);
         loader.run(&self.load_batch_program(row, col_base, pairs))?;
 
-        // Same split as the solo path: the lane-parallel fast path
-        // mirrors the accumulator planes in software, which requires a
-        // fault-free region (in every active lane); otherwise fall
-        // back to the live-read reference loop, which feeds pinned
-        // lane bits back through the per-lane sums.
+        // The word-level fast path computes final values in the
+        // controller, which is only valid while no cell in the row
+        // region can pin a read; with faults present, fall back to the
+        // live-read reference loop (identical final state and wear).
         let region = col_base..col_base + self.required_cols();
         if array.row_region_fault_free(row, region)? {
-            self.batch_shift_add_packed(array, row, col_base, pairs.len())?;
+            self.shift_add_fast(array, row, col_base, pairs.len())?;
         } else {
-            self.batch_shift_add_reference(array, row, col_base, pairs.len())?;
+            self.shift_add_reference(array, row, col_base, pairs.len())?;
         }
 
-        let mut p_cols = Vec::new();
-        array.read_row_lane_words(row, at(P_OFF)..at(P_OFF) + 2 * w, &mut p_cols)?;
-        let products = cim_crossbar::lanes::lane_limbs(&p_cols, pairs.len())
+        let products = array
+            .read_row_lanes(row, at(P_OFF)..at(P_OFF) + 2 * w, pairs.len())?
             .into_iter()
             .map(Uint::from_limbs)
             .collect();
@@ -414,25 +320,30 @@ impl RowMultiplier {
         ))
     }
 
-    /// Lane-parallel shift-add: the transposed counterpart of
-    /// [`RowMultiplier::shift_add_packed`], with the write bookkeeping
-    /// split into its two halves (see [`Crossbar::wear_region`]).
+    /// Word-level shift-add, observationally identical to
+    /// [`RowMultiplier::shift_add_reference`] on a fault-free region,
+    /// with each write split into its wear half and its value half
+    /// (see [`Crossbar::store_row_lanes`]).
     ///
-    /// Wear is accounted iteration for iteration exactly like the
-    /// reference loop: the broadcast scratch reset pulses every
-    /// iteration, and each iteration whose multiplier bit is set in
-    /// any lane records the reference's three masked write pulses
-    /// (`C[0]`, the `C` span, the product window) for exactly those
-    /// lanes. Values, however, are data-oblivious to *when* they were
-    /// written — a cell's final value is the last write it took — so
-    /// the fast path stores them once, per lane, in closed form: the
-    /// product region takes `a·b`, and the carry-staging cells take the
-    /// ripple carries of the lane's last executed iteration, recovered
-    /// as `s ^ a ^ window` exactly like the solo fast path. Lanes whose
-    /// multiplier is zero never write, so their `C` cells keep their
-    /// prior values and their product region stays at the prologue's
-    /// reset zeros (= their product).
-    fn batch_shift_add_packed(
+    /// Wear is accounted pulse for pulse: the scratch reset pulses
+    /// every iteration, and each iteration whose multiplier bit is set
+    /// in a lane pulses that lane's product window `[i, i + w + 1)`
+    /// once, its carry cells `C[1..w)` once and `C[0]` twice (at
+    /// `j = 0` and `j = w`). The windows are recorded iteration by
+    /// iteration; the carry pulses as per-lane totals, one masked
+    /// record per bit of a lane's active-iteration count. Values,
+    /// however, are data-oblivious to *when* they were written — a
+    /// cell's final value is the last write it took — so they are
+    /// stored once, per lane, in closed form: the product region takes
+    /// `a·b`, and the carry-staging cells take the ripple carries of
+    /// the lane's last executed iteration, recovered in one shot as
+    /// `s ^ a ^ window` (carry *into* bit `k` is bit `k` of that xor).
+    /// Lanes whose multiplier is zero never write, so their `C` cells
+    /// keep their prior values and their product region stays at the
+    /// prologue's reset zeros (= their product). Reads carry no wear
+    /// or cycle cost, so reading operands once instead of per
+    /// iteration is unobservable.
+    fn shift_add_fast(
         &self,
         array: &mut Crossbar,
         row: usize,
@@ -440,79 +351,73 @@ impl RowMultiplier {
         lanes: usize,
     ) -> Result<(), CrossbarError> {
         use cim_bigint::mul::schoolbook;
-        use cim_crossbar::lanes as xl;
         use wordvec as wv;
         let w = self.width;
         let at = |off: usize| col_base + off * w;
-        let active = if lanes == 64 { u64::MAX } else { (1u64 << lanes) - 1 };
+        let active = lane_mask(lanes);
+        let a_lanes = array.read_row_lanes(row, at(A_OFF)..at(A_OFF) + w, lanes)?;
+        let b_lanes = array.read_row_lanes(row, at(B_OFF)..at(B_OFF) + w, lanes)?;
+        let active_iterations: Vec<u32> = b_lanes
+            .iter()
+            .map(|b| b.iter().map(|limb| limb.count_ones()).sum())
+            .collect();
+        let lanes_where = |keep: &dyn Fn(u32) -> bool| {
+            (0..lanes)
+                .filter(|&l| keep(active_iterations[l]))
+                .fold(0u64, |m, l| m | 1 << l)
+        };
 
-        let mut a_cols = Vec::new();
-        array.read_row_lane_words(row, at(A_OFF)..at(A_OFF) + w, &mut a_cols)?;
-        let mut b_cols = Vec::new();
-        array.read_row_lane_words(row, at(B_OFF)..at(B_OFF) + w, &mut b_cols)?;
-
-        // Wear, iteration for iteration: the scratch reset is broadcast
-        // (the reference resets before testing `b_i`, so skipped
-        // iterations pulse too — `w` pulses per scratch cell in total),
-        // and active iterations pulse C[0], the C span and the product
-        // window for exactly the lanes whose multiplier bit is set.
-        let scratch = at(S_OFF)..at(S_OFF) + w;
-        array.store_row_lane_words(row, scratch.start, &vec![0u64; w], u64::MAX)?;
-        array.wear_region(&Region::new(row..row + 1, scratch), w as u64)?;
-        let mut written = 0u64;
-        for (i, &b_word) in b_cols.iter().enumerate() {
-            let m = b_word & active;
-            if m == 0 {
-                continue;
-            }
-            array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + 1, m)?;
-            array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + w, m)?;
-            array.wear_row_lanes_masked(row, at(P_OFF) + i..at(P_OFF) + i + w + 1, m)?;
-            written |= m;
+        let scratch = Region::new(row..row + 1, at(S_OFF)..at(S_OFF) + w);
+        array.reset_region(&scratch)?;
+        array.wear_region(&scratch, w as u64 - 1)?;
+        for i in 0..w {
+            let m = array.read_cell_lanes(row, at(B_OFF) + i)? & active;
+            array.wear_row_lanes_masked(row, at(P_OFF) + i..at(P_OFF) + i + w + 1, m, 1)?;
+        }
+        for bit in 0..u32::BITS - (w as u32).leading_zeros() {
+            let m = lanes_where(&|n| n >> bit & 1 == 1);
+            array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + 1, m, 1 << bit)?;
+            array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + w, m, 1 << bit)?;
         }
 
         // Final values, lane by lane in the controller.
-        let a_lanes = xl::lane_limbs(&a_cols, lanes);
-        let b_lanes = xl::lane_limbs(&b_cols, lanes);
+        let written = lanes_where(&|n| n > 0);
         let mut p_lanes = vec![Vec::new(); lanes];
         let mut c_lanes = vec![Vec::new(); lanes];
-        for l in 0..lanes {
-            if written >> l & 1 == 0 {
-                continue;
-            }
+        for l in (0..lanes).filter(|l| written >> l & 1 == 1) {
             let a = Uint::from_limbs(a_lanes[l].clone());
             let b = Uint::from_limbs(b_lanes[l].clone());
-            p_lanes[l] = schoolbook::mul(&a, &b).limbs().to_vec();
+            let p = schoolbook::mul(&a, &b);
             // The lane's last executed iteration is its top multiplier
-            // bit; its carries are those of adding `a` into the window
-            // `[i_last, i_last + w + 1)` of the accumulator *before*
-            // that iteration, i.e. of `a · (b mod 2^i_last)`.
+            // bit `i_last`: it added `a` into the accumulator window
+            // `[i_last, i_last + w + 1)`, which held `s - a` before and
+            // `s = p >> i_last` after (the lower bits are final by
+            // then, and `a · (b mod 2^i_last) < 2^(w + i_last)`).
             let i_last = b.bit_len() - 1;
-            let before = schoolbook::mul(&a, &b.low_bits(i_last));
-            let win = wv::window(before.limbs(), i_last, w + 1);
-            let sum = wv::add(&a_lanes[l], &win, w + 2);
-            let carries = wv::xor3(&sum, &a_lanes[l], &win, w + 2);
+            let s = p.shr(i_last);
+            let carries = wv::xor3(s.limbs(), &a_lanes[l], s.sub(&a).limbs(), w + 2);
+            p_lanes[l] = p.limbs().to_vec();
             // Reference C layout: C[k] ← carry out of bit k for
             // k = 1..w, with j = w wrapping its carry onto C[0].
             let mut c_words = wv::shr1(&carries);
             wv::set_bit(&mut c_words, 0, wv::bit(&carries, w + 1));
             c_lanes[l] = c_words;
         }
-        let p_refs: Vec<&[u64]> = p_lanes.iter().map(|v| v.as_slice()).collect();
-        let c_refs: Vec<&[u64]> = c_lanes.iter().map(|v| v.as_slice()).collect();
-        array.store_row_lane_words(row, at(P_OFF), &xl::transpose_lanes(&p_refs, 2 * w), active)?;
-        array.store_row_lane_words(row, at(C_OFF), &xl::transpose_lanes(&c_refs, w), written)?;
+        array.store_row_lanes(row, at(P_OFF), 2 * w, &p_lanes, active)?;
+        array.store_row_lanes(row, at(C_OFF), w, &c_lanes, written)?;
         Ok(())
     }
 
-    /// Lane-word reference shift-add for regions with faults: live
-    /// fault-adjusted lane reads with immediate masked write-back,
-    /// step for step the solo reference loop run in every lane at
-    /// once. Within an iteration the reference never reads a cell it
-    /// has already written (A/B are read-only, `P[i+j]` is read at
-    /// step j and written at step j, C is write-only), so pinned lane
-    /// bits feed back into later iterations exactly as they do solo.
-    fn batch_shift_add_reference(
+    /// Reference shift-add: iteration i adds (a·b_i) << i into the
+    /// accumulator cell by cell, in every lane at once, so
+    /// accumulator, carry and scratch cells see realistic traffic.
+    /// This is the behavioural gold the fast path must match
+    /// write-for-write. Reads are live and fault-adjusted with
+    /// immediate masked write-back; within an iteration no cell is
+    /// read after it is written (A/B are read-only, `P[i+j]` is read
+    /// and written at step j, C is write-only), so pinned bits feed
+    /// back into later iterations exactly as they would in hardware.
+    fn shift_add_reference(
         &self,
         array: &mut Crossbar,
         row: usize,
@@ -521,9 +426,12 @@ impl RowMultiplier {
     ) -> Result<(), CrossbarError> {
         let w = self.width;
         let at = |off: usize| col_base + off * w;
-        let active = if lanes == 64 { u64::MAX } else { (1u64 << lanes) - 1 };
+        let active = lane_mask(lanes);
         for i in 0..w {
             let m = array.read_cell_lanes(row, at(B_OFF) + i)? & active;
+            // Partition-parallel p/g staging writes (scratch region is
+            // reused every iteration — this is what bounds MultPIM's
+            // per-cell wear at O(w)).
             let scratch_cols = at(S_OFF)..at(S_OFF) + w;
             array.reset_region(&Region::new(row..row + 1, scratch_cols))?;
             if m == 0 {
@@ -541,114 +449,10 @@ impl RowMultiplier {
                 let t = a ^ p;
                 let sum = t ^ carry;
                 carry = (a & p) | (t & carry);
-                array.write_row_lanes_masked(row, at(C_OFF) + j % w, &[carry], m)?;
-                array.write_row_lanes_masked(row, p_col, &[sum], m)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reference shift-add: iteration i adds (a·b_i) << i into the
-    /// accumulator cell by cell, so accumulator, carry and scratch
-    /// cells see realistic traffic. This is the behavioural gold the
-    /// fast path must match write-for-write; it also handles faulty
-    /// cells (whose pinned reads feed back into the sums).
-    fn shift_add_reference(
-        &self,
-        array: &mut Crossbar,
-        row: usize,
-        col_base: usize,
-    ) -> Result<(), CrossbarError> {
-        let w = self.width;
-        let at = |off: usize| col_base + off * w;
-        for i in 0..w {
-            let b_i = array.read_cell(row, at(B_OFF) + i)?;
-            // Partition-parallel p/g staging writes (scratch region is
-            // reused every iteration — this is what bounds MultPIM's
-            // per-cell wear at O(w)).
-            let scratch_cols = at(S_OFF)..at(S_OFF) + w;
-            array.reset_region(&Region::new(row..row + 1, scratch_cols))?;
-            if !b_i {
-                continue;
-            }
-            let mut carry = false;
-            for j in 0..=w {
-                let p_col = at(P_OFF) + i + j;
-                let a_bit = if j < w {
-                    array.read_cell(row, at(A_OFF) + j)?
-                } else {
-                    false
-                };
-                let p_bit = array.read_cell(row, p_col)?;
-                let total = a_bit as u8 + p_bit as u8 + carry as u8;
                 // Carry staging cell then accumulator write-back.
-                array.write_row(row, at(C_OFF) + j % w, &[total >= 2])?;
-                array.write_row(row, p_col, &[total & 1 == 1])?;
-                carry = total >= 2;
+                array.write_cell_lanes(row, at(C_OFF) + j % w, carry, m)?;
+                array.write_cell_lanes(row, p_col, sum, m)?;
             }
-        }
-        Ok(())
-    }
-
-    /// Word-parallel shift-add, observationally identical to
-    /// [`RowMultiplier::shift_add_reference`] on a fault-free region.
-    ///
-    /// Per active iteration the reference loop's `w + 1` cell-serial
-    /// full adds collapse into three bulk row writes derived from a
-    /// software mirror of the accumulator:
-    ///
-    /// * the ripple carries are recovered in one shot as
-    ///   `s ^ a ^ window` (carry *into* bit `k` is bit `k` of that
-    ///   xor), so the carry-staging cells `C[j % w]` receive their
-    ///   exact reference values — including `C[0]`, which the
-    ///   reference writes twice (at `j = 0` and `j = w`) and therefore
-    ///   gets an extra single-cell write here to keep wear identical;
-    /// * the product window `[i, i + w + 1)` takes the low `w + 1`
-    ///   sum bits in one word write (the reference drops the top carry
-    ///   from the window too — it lands in `C[0]`);
-    /// * the scratch reset is already a bulk region fill.
-    ///
-    /// Each cell thus sees the same number of write pulses with the
-    /// same final values as the reference loop; reads carry no wear or
-    /// cycle cost, so reading operands once instead of per iteration
-    /// is unobservable.
-    fn shift_add_packed(
-        &self,
-        array: &mut Crossbar,
-        row: usize,
-        col_base: usize,
-    ) -> Result<(), CrossbarError> {
-        use wordvec as wv;
-        let w = self.width;
-        let at = |off: usize| col_base + off * w;
-
-        let mut a_words = Vec::new();
-        array.read_row_words(row, at(A_OFF)..at(A_OFF) + w, &mut a_words)?;
-        let mut b_words = Vec::new();
-        array.read_row_words(row, at(B_OFF)..at(B_OFF) + w, &mut b_words)?;
-
-        // Software mirror of the 2w-bit product accumulator (the
-        // prologue just reset it to zero).
-        let mut acc = vec![0u64; wv::words_for(2 * w)];
-        let scratch = at(S_OFF)..at(S_OFF) + w;
-        for i in 0..w {
-            array.reset_region(&Region::new(row..row + 1, scratch.clone()))?;
-            if !wv::bit(&b_words, i) {
-                continue;
-            }
-            let win = wv::window(&acc, i, w + 1);
-            let sum = wv::add(&a_words, &win, w + 2);
-            let carries = wv::xor3(&sum, &a_words, &win, w + 2);
-            // Reference j = 0: C[0] ← carry out of bit 0.
-            array.write_row(row, at(C_OFF), &[wv::bit(&carries, 1)])?;
-            // Reference j = 1..=w: C[k] ← carry out of bit k, with
-            // j = w wrapping onto C[0].
-            let mut c_words = wv::shr1(&carries);
-            wv::set_bit(&mut c_words, 0, wv::bit(&carries, w + 1));
-            array.write_row_words(row, at(C_OFF), &c_words, w)?;
-            // Accumulator window write-back (low w + 1 sum bits).
-            array.write_row_words(row, at(P_OFF) + i, &sum, w + 1)?;
-            wv::insert(&mut acc, i, w + 1, &sum);
         }
         Ok(())
     }
@@ -776,30 +580,91 @@ mod tests {
         assert!(report.max_writes >= 16, "max {}", report.max_writes);
     }
 
-    /// The word-parallel fast path must leave exactly the state and
-    /// wear the cell-serial reference loop leaves.
+    /// The word-level fast path must leave exactly the state and wear
+    /// the live-read reference loop leaves — every lane, every cell
+    /// (value, wear, fault) — on the packed backend and on sliced
+    /// arrays of 1, 2 and 64 lanes. Runs fault-free and with random
+    /// per-lane stuck-at faults wherever the fast path is still valid:
+    /// on the operand cells (read, never written), the scratch cells
+    /// (reset only), a neighbouring row and the columns around the
+    /// multiplier.
     #[test]
-    fn packed_shift_add_matches_reference_state_and_wear() {
+    fn fast_shift_add_matches_reference_cell_for_cell() {
+        use cim_crossbar::Fault;
         let mut rng = UintRng::seeded(991);
-        for w in [4usize, 8, 17, 63, 64, 65, 70] {
-            let m = RowMultiplier::new(w);
-            let a = rng.uniform(w);
-            let b = rng.uniform(w);
-            let mut fast = Crossbar::new(1, m.required_cols()).unwrap();
-            let mut gold = Crossbar::new(1, m.required_cols()).unwrap();
-            let mut loader = Executor::new(&mut fast);
-            loader.run(&m.load_program(0, 0, &a, &b)).unwrap();
-            m.shift_add_packed(&mut fast, 0, 0).unwrap();
-            let mut loader = Executor::new(&mut gold);
-            loader.run(&m.load_program(0, 0, &a, &b)).unwrap();
-            m.shift_add_reference(&mut gold, 0, 0).unwrap();
-            assert_eq!(fast, gold, "w = {w}");
-            for c in 0..m.required_cols() {
-                assert_eq!(
-                    fast.cell(0, c).unwrap(),
-                    gold.cell(0, c).unwrap(),
-                    "cell {c}, w = {w}"
-                );
+        for (sliced, lanes) in [(false, 1usize), (true, 1), (true, 2), (true, 64)] {
+            // The reference leaves a masked wear entry per carry write,
+            // so per-lane cell walks are quadratic in w: keep the full
+            // batch narrow.
+            let widths: &[usize] = if lanes == 64 {
+                &[8, 17]
+            } else {
+                &[4, 8, 17, 63, 64, 65, 70]
+            };
+            for &w in widths {
+                for faulty in [false, true] {
+                    let m = RowMultiplier::new(w);
+                    let base = 3;
+                    let cols = base + m.required_cols() + 2;
+                    let make = || {
+                        if sliced {
+                            Crossbar::new_sliced(2, cols, lanes).unwrap()
+                        } else {
+                            Crossbar::new(2, cols).unwrap()
+                        }
+                    };
+                    let (mut fast, mut gold) = (make(), make());
+                    for _ in 0..if faulty { 4 * lanes } else { 0 } {
+                        let lane = rng.range(0, lanes);
+                        let (row, col) = match rng.range(0, 4) {
+                            0 => (0, base + rng.range(0, 2 * w)),         // A, B
+                            1 => (0, base + S_OFF * w + rng.range(0, w)), // scratch
+                            2 => (1, rng.range(0, cols)),
+                            _ => (0, [0, 1, 2, cols - 2, cols - 1][rng.range(0, 5)]),
+                        };
+                        let fault = Some(if rng.range(0, 2) == 0 {
+                            Fault::StuckAt0
+                        } else {
+                            Fault::StuckAt1
+                        });
+                        for x in [&mut fast, &mut gold] {
+                            x.inject_fault_lane(lane, row, col, fault).unwrap();
+                        }
+                    }
+                    let pairs: Vec<(Uint, Uint)> = (0..lanes)
+                        .map(|_| (rng.uniform(w), rng.uniform(w)))
+                        .collect();
+                    let load = m.load_batch_program(0, base, &pairs);
+                    Executor::new(&mut fast).run(&load).unwrap();
+                    Executor::new(&mut gold).run(&load).unwrap();
+                    m.shift_add_fast(&mut fast, 0, base, lanes).unwrap();
+                    m.shift_add_reference(&mut gold, 0, base, lanes).unwrap();
+                    let case = format!("sliced {sliced}, lanes {lanes}, w {w}, faults {faulty}");
+                    assert_eq!(
+                        EnduranceReport::per_lane(&fast),
+                        EnduranceReport::per_lane(&gold),
+                        "{case}"
+                    );
+                    for lane in 0..lanes {
+                        for row in 0..2 {
+                            for c in 0..cols {
+                                assert_eq!(
+                                    fast.lane_cell(lane, row, c).unwrap(),
+                                    gold.lane_cell(lane, row, c).unwrap(),
+                                    "{case}: lane {lane}, cell ({row}, {c})"
+                                );
+                            }
+                        }
+                    }
+                    if !faulty {
+                        let p = base + P_OFF * w..base + P_OFF * w + 2 * w;
+                        let products = fast.read_row_lanes(0, p, lanes).unwrap();
+                        for ((a, b), limbs) in pairs.iter().zip(products) {
+                            let want = cim_bigint::mul::schoolbook::mul(a, b);
+                            assert_eq!(Uint::from_limbs(limbs), want, "{case}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -546,11 +546,13 @@ fn remap_rows_in_op(op: &MicroOp, map: &[usize], index: usize) -> Result<MicroOp
         MicroOp::WriteRowLanes {
             row,
             col_offset,
-            lane_words,
+            len,
+            lanes,
         } => MicroOp::WriteRowLanes {
             row: m(*row),
             col_offset: *col_offset,
-            lane_words: lane_words.clone(),
+            len: *len,
+            lanes: lanes.clone(),
         },
         MicroOp::ReadRow { row, cols } => MicroOp::ReadRow {
             row: m(*row),

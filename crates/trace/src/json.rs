@@ -1,10 +1,11 @@
-//! A minimal, dependency-free JSON writer and syntax checker.
+//! A minimal, dependency-free JSON writer and parser.
 //!
 //! The writer produces deterministic output (field order is exactly
 //! the call order; floats use Rust's shortest round-trip formatting).
-//! The checker is a strict recursive-descent parser used by the trace
-//! schema validator and by CI to gate emitted artifacts — it validates
-//! syntax only and builds no DOM.
+//! [`JsonValue::parse`] is the one strict recursive-descent parser:
+//! the bench regression gate reads snapshots back through it, and
+//! [`check`] (used by the trace schema validator and by tests that
+//! gate emitted artifacts) is a value count over it.
 
 use std::fmt::Write as _;
 
@@ -178,31 +179,114 @@ impl JsonWriter {
 ///
 /// Returns a message with a byte offset on the first syntax error.
 pub fn check(s: &str) -> Result<usize, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        values: 0,
-    };
-    p.ws();
-    p.value()?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+    JsonValue::parse(s).map(|v| v.count())
+}
+
+/// A parsed JSON value. Objects keep their pairs in source order, so
+/// round-trips stay deterministic.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonValue {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number, held as `f64`.
+    Number(f64),
+    /// A string.
+    String(String),
+    /// An array.
+    Array(Vec<JsonValue>),
+    /// An object; pairs in source order, keys assumed unique.
+    Object(Vec<(String, JsonValue)>),
+}
+
+impl JsonValue {
+    /// Parses one JSON document under the strict grammar of [`check`]:
+    /// numbers need digits before a `.`, after it and after an
+    /// exponent marker, and `\u` escapes need four hex digits.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message with a byte offset on the first syntax error.
+    pub fn parse(s: &str) -> Result<JsonValue, String> {
+        let mut p = Parser { src: s, pos: 0 };
+        p.ws();
+        let v = p.value()?;
+        p.ws();
+        if p.pos != s.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(v)
     }
-    Ok(p.values)
+
+    /// This value plus every value nested inside it (object keys are
+    /// not values).
+    pub fn count(&self) -> usize {
+        1 + match self {
+            JsonValue::Array(items) => items.iter().map(JsonValue::count).sum(),
+            JsonValue::Object(pairs) => pairs.iter().map(|(_, v)| v.count()).sum(),
+            _ => 0,
+        }
+    }
+
+    /// Member `key` of an object, if present.
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// The value as a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Number(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as a bool.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Array(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The value as object pairs in source order.
+    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
+        match self {
+            JsonValue::Object(v) => Some(v),
+            _ => None,
+        }
+    }
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
-    values: usize,
 }
 
 impl Parser<'_> {
     fn ws(&mut self) {
         while self
-            .bytes
-            .get(self.pos)
+            .peek()
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
             self.pos += 1;
@@ -210,7 +294,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -218,143 +302,154 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
-        self.values += 1;
+    /// Consumes a run of ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
+            Some(b'"') => self.string().map(JsonValue::String),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
     }
 
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(())
+            Ok(v)
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn object(&mut self) -> Result<(), String> {
+    fn object(&mut self) -> Result<JsonValue, String> {
         self.expect(b'{')?;
+        let mut pairs = Vec::new();
         self.ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(());
+            return Ok(JsonValue::Object(pairs));
         }
         loop {
             self.ws();
-            self.string()?;
+            let key = self.string()?;
             self.ws();
             self.expect(b':')?;
             self.ws();
-            self.value()?;
+            pairs.push((key, self.value()?));
             self.ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(JsonValue::Object(pairs));
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
         }
     }
 
-    fn array(&mut self) -> Result<(), String> {
+    fn array(&mut self) -> Result<JsonValue, String> {
         self.expect(b'[')?;
+        let mut items = Vec::new();
         self.ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(());
+            return Ok(JsonValue::Array(items));
         }
         loop {
             self.ws();
-            self.value()?;
+            items.push(self.value()?);
             self.ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(JsonValue::Array(items));
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let mut out = String::new();
         loop {
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
-                                    return Err(format!(
-                                        "bad \\u escape at byte {}",
-                                        self.pos
-                                    ));
-                                }
-                                self.pos += 1;
-                            }
+                            let hex = self
+                                .src
+                                .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                            self.pos += 4;
+                            // Surrogates are not expected in our own
+                            // output; map them to the replacement char.
+                            u32::from_str_radix(hex, 16)
+                                .ok()
+                                .and_then(char::from_u32)
+                                .unwrap_or('\u{fffd}')
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
+                    };
+                    out.push(c);
+                    self.pos += 1;
                 }
                 Some(b) if b < 0x20 => {
                     return Err(format!("control byte in string at {}", self.pos))
                 }
-                Some(_) => self.pos += 1,
+                Some(_) => {
+                    let c = self.src[self.pos..].chars().next().expect("peeked a byte");
+                    out.push(c);
+                    self.pos += c.len_utf8();
+                }
             }
         }
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut digits = 0;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
+        if self.digits() == 0 {
             return Err(format!("bad number at byte {start}"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let mut frac = 0;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
+            if self.digits() == 0 {
                 return Err(format!("bad fraction at byte {}", self.pos));
             }
         }
@@ -363,16 +458,14 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let mut exp = 0;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
+            if self.digits() == 0 {
                 return Err(format!("bad exponent at byte {}", self.pos));
             }
         }
-        Ok(())
+        self.src[start..self.pos]
+            .parse::<f64>()
+            .map(JsonValue::Number)
+            .map_err(|_| format!("bad number at byte {start}"))
     }
 }
 
@@ -461,10 +554,38 @@ mod tests {
             "\"unterminated",
             "01e",
             "1.",
+            "1.2.3",
+            "tru",
+            "\"\\q\"",
+            "\"\\u+041\"",
             "[1] trailing",
             "{'single': 1}",
         ] {
             assert!(check(s).is_err(), "{s:?} should fail");
+            assert!(JsonValue::parse(s).is_err(), "{s:?} should fail");
         }
+    }
+
+    #[test]
+    fn parses_nested_documents() {
+        let v =
+            JsonValue::parse(r#"{"a": [1, -2.5, "x\n", true, null], "b": {"c": 3e2}}"#).unwrap();
+        let a = v.get("a").unwrap().as_array().unwrap();
+        assert_eq!(a.len(), 5);
+        assert_eq!(a[0].as_f64(), Some(1.0));
+        assert_eq!(a[1].as_f64(), Some(-2.5));
+        assert_eq!(a[2].as_str(), Some("x\n"));
+        assert_eq!(a[3].as_bool(), Some(true));
+        assert_eq!(a[4], JsonValue::Null);
+        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_f64(), Some(300.0));
+        assert_eq!(v.as_object().unwrap().len(), 2);
+        assert!(v.get("absent").is_none());
+        assert_eq!(v.count(), 9);
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        let v = JsonValue::parse(r#""\u0041\u00e9é""#).unwrap();
+        assert_eq!(v.as_str(), Some("Aéé"));
     }
 }
