@@ -14,7 +14,7 @@ use std::ops::Range;
 /// Pending entries per row before they are folded into the dense
 /// per-cell base plane. Bounds both the memory of the pending buffer
 /// and the cost of a per-cell query (`O(threshold)`).
-const COMPACT_THRESHOLD: usize = 192;
+pub(crate) const COMPACT_THRESHOLD: usize = 192;
 
 /// One row's wear state: an optional dense base plane plus pending
 /// range increments not yet folded in.
