@@ -6,9 +6,17 @@
 //! measured wear must also equal the verifier's statically-predicted
 //! write pressure, cell for cell. A seeded fault case injects and
 //! clears stuck-at faults on both sides between ops.
+//!
+//! Every program also runs as a [`CheckedProgram`] through
+//! [`Executor::run_checked`], split into op ranges at the fault
+//! events: fault-free ranges take the fused init/NOR path, faulty ones
+//! the per-op fallback. Its final state must equal the oracle's and
+//! its cycle statistics and trace the raw run's.
 
 use cim_check::{verify, GoldMatrix, ProgramGen, VerifyConfig};
-use cim_crossbar::{Cell, Crossbar, ExecConfig, Executor, Fault, MicroOp};
+use cim_crossbar::{
+    Cell, CheckedProgram, Crossbar, CycleStats, ExecConfig, Executor, Fault, MicroOp, TraceEntry,
+};
 use proptest::prelude::*;
 
 /// A stuck-at fault injected (or cleared, with `None`) just before
@@ -21,24 +29,28 @@ struct FaultEvent {
     fault: Option<Fault>,
 }
 
-/// Sensed reads and cycle count of one executor run of `program`,
-/// applying `faults` between ops. Panics if the executor rejects an
-/// op or its trace misses one.
+fn traced(array: &mut Crossbar, strict_init: bool) -> Executor<'_> {
+    Executor::with_config(
+        array,
+        ExecConfig {
+            strict_init,
+            record_trace: true,
+        },
+    )
+}
+
+/// Sensed reads, statistics and trace of one executor run of
+/// `program`, applying `faults` between ops. Panics if the executor
+/// rejects an op or its trace misses one.
 fn run_exec(
     array: &mut Crossbar,
     program: &[MicroOp],
     faults: &[FaultEvent],
     strict_init: bool,
     label: &str,
-) -> (Vec<Vec<bool>>, u64) {
+) -> (Vec<Vec<bool>>, CycleStats, Vec<TraceEntry>) {
     let kind = array.backend_kind();
-    let mut exec = Executor::with_config(
-        array,
-        ExecConfig {
-            strict_init,
-            record_trace: true,
-        },
-    );
+    let mut exec = traced(array, strict_init);
     let mut reads: Vec<Vec<bool>> = Vec::new();
     for at in 0..=program.len() {
         for e in faults.iter().filter(|e| e.at == at) {
@@ -58,7 +70,50 @@ fn run_exec(
         program.len(),
         "{label}: trace must record every op"
     );
-    (reads, exec.stats().cycles)
+    (reads, *exec.stats(), exec.trace().to_vec())
+}
+
+/// [`run_exec`] through [`Executor::run_checked`]: one op range
+/// between consecutive fault events.
+fn run_checked_exec(
+    array: &mut Crossbar,
+    program: &CheckedProgram,
+    faults: &[FaultEvent],
+    strict_init: bool,
+    label: &str,
+) -> (CycleStats, Vec<TraceEntry>) {
+    let kind = array.backend_kind();
+    let mut exec = traced(array, strict_init);
+    let mut from = 0;
+    for at in 0..=program.len() {
+        let events = faults.iter().filter(|e| e.at == at);
+        if events.clone().next().is_none() && at < program.len() {
+            continue;
+        }
+        exec.run_checked(program, from..at).unwrap_or_else(|e| {
+            panic!("{label}: {kind:?} checked run rejected ops {from}..{at}: {e}")
+        });
+        from = at;
+        for e in events {
+            exec.array_mut()
+                .inject_fault(e.row, e.col, e.fault)
+                .unwrap();
+        }
+    }
+    (*exec.stats(), exec.trace().to_vec())
+}
+
+/// Asserts that every cell of `array` equals the oracle's.
+fn assert_cells_match(array: &Crossbar, gold: &GoldMatrix, what: &str) {
+    for r in 0..gold.rows() {
+        for c in 0..gold.cols() {
+            assert_eq!(
+                array.cell(r, c).unwrap(),
+                gold.cell(r, c),
+                "{what}: cell ({r}, {c}) diverged (value, wear, fault)"
+            );
+        }
+    }
 }
 
 /// The oracle side of [`run_exec`]: reads, cycles and final state.
@@ -83,7 +138,10 @@ fn run_gold(
 /// Runs `program` on a packed and a 1-lane sliced array and on the
 /// oracle, asserting that each backend matches the oracle on sensed
 /// reads, cycles, and every cell's sensed bit, stored bit, wear and
-/// fault. Returns the oracle, which both backends now equal.
+/// fault — once op by op and once as a [`CheckedProgram`], whose
+/// statistics and trace must also equal the op-by-op run's. Returns
+/// the oracle, which both backends now equal, and the number of init
+/// rows the checked program fused.
 fn check_against_oracle(
     rows: usize,
     cols: usize,
@@ -91,16 +149,21 @@ fn check_against_oracle(
     faults: &[FaultEvent],
     strict_init: bool,
     label: &str,
-) -> GoldMatrix {
+) -> (GoldMatrix, usize) {
     let (gold_reads, gold) = run_gold(rows, cols, program, faults);
-    let packed = Crossbar::new(rows, cols).unwrap();
-    let sliced = Crossbar::new_sliced(rows, cols, 1).unwrap();
-    for mut array in [packed, sliced] {
-        let (reads, cycles) = run_exec(&mut array, program, faults, strict_init, label);
+    let checked = CheckedProgram::new(program.to_vec())
+        .unwrap_or_else(|e| panic!("{label}: checked program rejected: {e}"));
+    let make = |lanes: Option<usize>| match lanes {
+        None => Crossbar::new(rows, cols).unwrap(),
+        Some(lanes) => Crossbar::new_sliced(rows, cols, lanes).unwrap(),
+    };
+    for lanes in [None, Some(1)] {
+        let mut array = make(lanes);
+        let (reads, stats, trace) = run_exec(&mut array, program, faults, strict_init, label);
         let kind = array.backend_kind();
         assert_eq!(reads, gold_reads, "{label}: {kind:?} sensed reads diverged");
         assert_eq!(
-            cycles,
+            stats.cycles,
             gold.cycles(),
             "{label}: {kind:?} cycle count diverged"
         );
@@ -110,28 +173,29 @@ fn check_against_oracle(
                 gold.row_bits(r, 0..cols),
                 "{label}: {kind:?} final sensed state of row {r} diverged"
             );
-            for c in 0..cols {
-                assert_eq!(
-                    array.cell(r, c).unwrap(),
-                    gold.cell(r, c),
-                    "{label}: {kind:?} cell ({r}, {c}) diverged (value, wear, fault)"
-                );
-            }
         }
+        assert_cells_match(&array, &gold, &format!("{label}: {kind:?}"));
+
+        let mut array = make(lanes);
+        let (checked_stats, checked_trace) =
+            run_checked_exec(&mut array, &checked, faults, strict_init, label);
+        assert_cells_match(&array, &gold, &format!("{label}: {kind:?} checked"));
+        assert_eq!(checked_stats, stats, "{label}: {kind:?} checked stats diverged");
+        assert_eq!(checked_trace, trace, "{label}: {kind:?} checked trace diverged");
     }
-    gold
+    (gold, checked.fused_pairs())
 }
 
 /// Runs one seeded differential case on a generated program with the
 /// given fault schedule; panics (via assert) on any divergence.
-/// Returns (ops, cycles) for meta-assertions.
+/// Returns (ops, cycles, fused init rows) for meta-assertions.
 fn run_case(
     rows: usize,
     cols: usize,
     min_len: usize,
     seed: u64,
     faults: impl FnOnce(usize) -> Vec<FaultEvent>,
-) -> (usize, u64) {
+) -> (usize, u64, usize) {
     let mut gen = ProgramGen::new(rows, cols, seed);
     let program = gen.generate(min_len);
     // The generator's programs must pass the static verifier.
@@ -141,7 +205,7 @@ fn run_case(
     // A stuck-at-0 output fails strict init, so fault runs are lenient.
     let strict_init = faults.is_empty();
     let label = format!("seed {seed}");
-    let gold = check_against_oracle(rows, cols, &program, &faults, strict_init, &label);
+    let (gold, fused) = check_against_oracle(rows, cols, &program, &faults, strict_init, &label);
     assert_eq!(
         gold.cycles(),
         report.cycles,
@@ -159,7 +223,7 @@ fn run_case(
             );
         }
     }
-    (program.len(), gold.cycles())
+    (program.len(), gold.cycles(), fused)
 }
 
 fn no_faults(_: usize) -> Vec<FaultEvent> {
@@ -200,11 +264,11 @@ proptest! {
     #[test]
     fn executor_matches_gold_model(
         rows in 2usize..=8,
-        cols in 2usize..=12,
+        cols in 2usize..=130,
         min_len in 4usize..=48,
         seed in any::<u64>(),
     ) {
-        let (ops, cycles) = run_case(rows, cols, min_len, seed, no_faults);
+        let (ops, cycles, _) = run_case(rows, cols, min_len, seed, no_faults);
         prop_assert!(ops >= min_len);
         prop_assert!(cycles >= ops as u64, "every op costs at least one cycle");
     }
@@ -215,7 +279,7 @@ proptest! {
     #[test]
     fn executor_matches_gold_model_under_faults(
         rows in 2usize..=8,
-        cols in 2usize..=12,
+        cols in 2usize..=130,
         min_len in 4usize..=48,
         seed in any::<u64>(),
     ) {
@@ -227,9 +291,21 @@ proptest! {
 /// be bisected against a stable program.
 #[test]
 fn pinned_seed_is_stable() {
-    let (ops, cycles) = run_case(4, 8, 32, 0xdead_beef, no_faults);
+    let (ops, cycles, _) = run_case(4, 8, 32, 0xdead_beef, no_faults);
     assert!(ops >= 32);
     assert!(cycles >= ops as u64);
+}
+
+/// The generator's init repairs give the checked runs real init/NOR
+/// pairs to fuse, with and without faults.
+#[test]
+fn generated_programs_exercise_init_fusion() {
+    let fused: usize = (0..16).map(|seed| run_case(4, 70, 32, seed, no_faults).2).sum();
+    assert!(fused >= 16, "only {fused} fused init rows in 16 programs");
+    let fused: usize = (0..16)
+        .map(|seed| run_case(4, 70, 32, seed, |len| random_faults(seed, 4, 70, len)).2)
+        .sum();
+    assert!(fused >= 16, "only {fused} fused init rows in 16 fault programs");
 }
 
 /// Pinned fault schedules, so fault-semantics failures replay without
@@ -261,6 +337,24 @@ fn word_boundary_geometries_agree() {
     }
 }
 
+/// An init row sensed between its wave and a NOR into it over the
+/// same columns is not fused: the read and the NOR that takes the row
+/// as input see the ones.
+#[test]
+fn init_rows_read_before_their_nor_keep_their_fill() {
+    let pattern: Vec<bool> = (0..70).map(|i| i % 5 < 2).collect();
+    let program = vec![
+        MicroOp::write_row(0, &pattern),
+        MicroOp::init_rows(&[1, 2], 0..70),
+        MicroOp::read_row(1, 0..70),
+        MicroOp::not_row(1, 2, 0..70),
+        MicroOp::not_row(0, 1, 0..70),
+    ];
+    let (gold, fused) = check_against_oracle(3, 70, &program, &[], true, "read before NOR");
+    assert_eq!(fused, 1, "only row 2 fuses");
+    assert_eq!(gold.row_bits(2, 0..70), vec![false; 70]);
+}
+
 /// Hand-written op soup across word boundaries, including MAGIC on
 /// outputs that were never initialized (lenient physical semantics).
 #[test]
@@ -277,7 +371,9 @@ fn backends_match_oracle_on_mixed_ops() {
         MicroOp::reset_region(0..1, 60..70),
         MicroOp::read_row(3, 0..130),
     ];
-    check_against_oracle(4, 130, &program, &[], false, "mixed ops");
+    let (_, fused) = check_against_oracle(4, 130, &program, &[], false, "mixed ops");
+    // Neither init row meets a NOR over its own span: nothing fuses.
+    assert_eq!(fused, 0);
 }
 
 /// Faults injected before a program and one cleared after it: a
@@ -301,7 +397,7 @@ fn backends_match_oracle_under_faults() {
         MicroOp::init_rows(&[2], 0..80),
         MicroOp::nor_rows(&[0], 2, 0..80),
     ];
-    let gold = check_against_oracle(3, 80, &program, &faults, false, "faults");
+    let (gold, _) = check_against_oracle(3, 80, &program, &faults, false, "faults");
     assert_eq!(gold.row_bits(2, 64..67), vec![true, true, false]);
     assert_eq!(
         gold.cell(2, 3),

@@ -1,11 +1,14 @@
 //! Mutant rejection: seed a real, known-good program with one bug per
 //! verifier rule and check the verifier names exactly that rule. This
 //! is the evidence that each rule actually fires on realistic
-//! programs, not just on hand-built minimal cases.
+//! programs, not just on hand-built minimal cases. The co-issue
+//! mutants check that `CheckedProgram::new` rejects, when the program
+//! is built, every bundle the executor's `step` rejects.
 
 use cim_check::{verify, VerifyConfig, Violation};
-use cim_crossbar::MicroOp;
+use cim_crossbar::{CheckedProgram, Crossbar, CrossbarError, Executor, MicroOp};
 use cim_logic::kogge_stone::{AddOp, KoggeStoneAdder};
+use cim_mir::OptLevel;
 
 /// A verified Kogge–Stone add program plus its config (operand rows
 /// preloaded, as the surrounding stage would do).
@@ -153,4 +156,51 @@ fn violations_locate_the_mutated_op() {
         _ => false,
     });
     assert!(located, "violation must carry op index {nor_at}:\n{err}");
+}
+
+/// Co-issue rules: each bundle mutant of a real O3 adder body that
+/// the executor's `step` rejects, `CheckedProgram::new` rejects when
+/// the program is built, with the same detail — checking once loses
+/// nothing.
+#[test]
+fn bundle_mutants_are_rejected_when_the_program_is_checked() {
+    let adder = KoggeStoneAdder::new(16);
+    let program = adder.program_opt(AddOp::Add, OptLevel::O3);
+    let at = program
+        .iter()
+        .position(|op| matches!(op, MicroOp::Parallel(inner) if inner.len() >= 2))
+        .expect("O3 co-issues independent gates");
+    let MicroOp::Parallel(inner) = &program[at] else {
+        unreachable!()
+    };
+    let MicroOp::NorRows { out, cols, .. } = &inner[0] else {
+        panic!("bundle leads with a row NOR: {:?}", inner[0])
+    };
+    let with = |extra: MicroOp| [inner.clone(), vec![extra]].concat();
+    let mutants = [
+        ("empty", Vec::new()),
+        ("nested", vec![MicroOp::Parallel(inner.clone())]),
+        ("serial write", with(MicroOp::write_row(0, &[true]))),
+        ("duplicate gate", with(inner[0].clone())),
+        (
+            "reads a co-issued output",
+            with(MicroOp::not_row(*out, adder.required_rows() - 1, cols.clone())),
+        ),
+    ];
+    for (name, bundle) in mutants {
+        let mut mutant = program.clone();
+        mutant[at] = MicroOp::Parallel(bundle);
+        let mut array = Crossbar::new(adder.required_rows(), adder.required_cols()).unwrap();
+        let stepped = Executor::new(&mut array).run(&mutant).unwrap_err();
+        assert!(
+            matches!(stepped, CrossbarError::InvalidBundle { .. }),
+            "{name}: step must reject the bundle, got {stepped}"
+        );
+        assert_eq!(
+            CheckedProgram::new(mutant).unwrap_err(),
+            stepped,
+            "{name}: construction must report the step's detail"
+        );
+    }
+    CheckedProgram::new(program).expect("the unmutated O3 body is valid");
 }

@@ -113,7 +113,7 @@ pub(crate) fn run_pass(
         );
     }
     exec.run(&staging)?;
-    exec.run(&body)?;
+    exec.run_checked(&body, ..)?;
     let w = adder.width();
     let layout = adder.layout();
     let sum = layout.col_base..layout.col_base + w + 1;
@@ -214,6 +214,21 @@ impl PostcomputeStage {
     /// figure; the simulator uses one extra carry-out column).
     pub fn area_cells(&self) -> u64 {
         (ROWS * self.adder_width()) as u64
+    }
+
+    /// The shared `1.5n`-bit adder every pass runs: operands in rows
+    /// 0 and 1, the sum in row 2, scratch in rows 8–19.
+    pub(crate) fn adder(&self) -> KoggeStoneAdder {
+        KoggeStoneAdder::with_layout(
+            self.adder_width(),
+            AdderLayout {
+                x_row: 0,
+                y_row: 1,
+                sum_row: 2,
+                scratch: std::array::from_fn(|i| 8 + i),
+                col_base: 0,
+            },
+        )
     }
 
     /// Measured (implementation-exact) latency. At `O0`:
@@ -318,16 +333,7 @@ impl PostcomputeStage {
         let mut exec = Executor::new(&mut array);
         exec.attach_tracer_at(tracer, track, start_cycle);
         let stage = tracer.span_at(track, "postcompute", start_cycle);
-        let adder = KoggeStoneAdder::with_layout(
-            w,
-            AdderLayout {
-                x_row: 0,
-                y_row: 1,
-                sum_row: 2,
-                scratch: std::array::from_fn(|i| 8 + i),
-                col_base: 0,
-            },
-        );
+        let adder = self.adder();
 
         // One adder pass, wrapped in a named span; returns the
         // per-lane results.

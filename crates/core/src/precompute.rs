@@ -279,7 +279,7 @@ impl PrecomputeStage {
     /// (bundles never straddle addition boundaries, preserving
     /// per-addition trace attribution). The returned bounds locate
     /// each addition's ops in the fused program.
-    fn addition_suffix(&self, additions: usize) -> SuffixProgram {
+    pub(crate) fn addition_suffix(&self, additions: usize) -> SuffixProgram {
         let opt = self.opt;
         let cols = self.cols();
         crate::progcache::precompute_suffix(self.adder_width(), additions, opt, || {
@@ -297,7 +297,7 @@ impl PrecomputeStage {
                     bounds.push(ops.len());
                 }
                 return SuffixProgram {
-                    ops: ops.into(),
+                    ops: crate::progcache::checked(ops),
                     bounds: bounds.into(),
                 };
             }
@@ -338,7 +338,7 @@ impl PrecomputeStage {
                 bounds.push(ops.len());
             }
             SuffixProgram {
-                ops: ops.into(),
+                ops: crate::progcache::checked(ops),
                 bounds: bounds.into(),
             }
         })
@@ -469,11 +469,11 @@ impl PrecomputeStage {
 
         // (i)+(ii) The 8 chunk writes and the tree additions —
         // 8 + additions·adder cc. The operand writes are rebuilt per
-        // call; the addition suffix comes from the program cache and is
-        // executed in per-addition slices so each addition's op events
-        // nest under its own span. The op sequence is that of
-        // [`PrecomputeStage::compose_program`], checked by the same
-        // static verification.
+        // call; the addition suffix is a checked program from the
+        // program cache, executed in per-addition op ranges so each
+        // addition's op events nest under its own span. The op
+        // sequence is that of [`PrecomputeStage::compose_program`],
+        // checked by the same static verification.
         let decomps = self.decompose(operands);
         let writes_prog = self.chunk_writes(&decomps);
         let suffix = self.addition_suffix(additions);
@@ -495,7 +495,7 @@ impl PrecomputeStage {
         for (i, name) in ADDITION_NAMES[..additions].iter().enumerate() {
             let from = start_cycle + exec.stats().cycles;
             let span = tracer.span_at(track, *name, from);
-            exec.run(&suffix.ops[slice_start..suffix.bounds[i]])?;
+            exec.run_checked(&suffix.ops, slice_start..suffix.bounds[i])?;
             slice_start = suffix.bounds[i];
             span.end(start_cycle + exec.stats().cycles);
         }

@@ -7,8 +7,11 @@
 //! identical across multiplications. Regenerating them per multiply
 //! costs allocation, network construction and (at `O1`+) a full
 //! optimizer pipeline run on every call; this module caches them
-//! process-wide as `Arc<[MicroOp]>` slices, the same way `cim-sched`'s
-//! profile table caches one `JobProfile` per job class.
+//! process-wide as `Arc<CheckedProgram>`s, the same way `cim-sched`'s
+//! profile table caches one `JobProfile` per job class. A
+//! [`CheckedProgram`] has its co-issue bundles checked and its
+//! init-fusion plan built once, when the entry is compiled, so every
+//! warm run goes straight to [`cim_crossbar::Executor::run_checked`].
 //!
 //! Only operand-*independent* program parts are cached (adder bodies,
 //! the precompute addition tree). Operand writes are always rebuilt —
@@ -21,7 +24,7 @@
 //! `cim_core_progcache_*` counters by
 //! [`publish_metrics`].
 
-use cim_crossbar::MicroOp;
+use cim_crossbar::{CheckedProgram, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder};
 use cim_mir::OptLevel;
 use std::collections::HashMap;
@@ -55,7 +58,7 @@ struct SuffixKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SuffixProgram {
     /// The concatenated per-addition programs.
-    pub ops: Arc<[MicroOp]>,
+    pub ops: Arc<CheckedProgram>,
     /// Cumulative per-addition end indices into `ops` (one per
     /// addition; the last equals `ops.len()`).
     pub bounds: Arc<[usize]>,
@@ -70,7 +73,7 @@ type Slot<T> = Arc<OnceLock<T>>;
 
 #[derive(Default)]
 struct Caches {
-    adders: HashMap<AdderKey, Slot<Arc<[MicroOp]>>>,
+    adders: HashMap<AdderKey, Slot<Arc<CheckedProgram>>>,
     suffixes: HashMap<SuffixKey, Slot<SuffixProgram>>,
 }
 
@@ -148,14 +151,18 @@ fn resolve<T: Clone>(slot: &Slot<T>, compile: impl FnOnce() -> T) -> T {
 /// The adder's paper-exact (`O0`) program for `op`, compiled once per
 /// key and shared afterwards. Identical, op for op, to what
 /// [`KoggeStoneAdder::program`] returns.
-pub fn adder_program(adder: &KoggeStoneAdder, op: AddOp) -> Arc<[MicroOp]> {
+pub fn adder_program(adder: &KoggeStoneAdder, op: AddOp) -> Arc<CheckedProgram> {
     adder_program_opt(adder, op, OptLevel::O0)
 }
 
 /// The adder's program lowered at `opt`, compiled (and, above `O0`,
 /// optimized and verified) once per `(width, op, layout, opt)` and
 /// shared afterwards.
-pub fn adder_program_opt(adder: &KoggeStoneAdder, op: AddOp, opt: OptLevel) -> Arc<[MicroOp]> {
+pub fn adder_program_opt(
+    adder: &KoggeStoneAdder,
+    op: AddOp,
+    opt: OptLevel,
+) -> Arc<CheckedProgram> {
     let key = AdderKey {
         width: adder.width(),
         op,
@@ -167,7 +174,16 @@ pub fn adder_program_opt(adder: &KoggeStoneAdder, op: AddOp, opt: OptLevel) -> A
         let mut guard = caches().lock().expect("progcache poisoned");
         Arc::clone(guard.adders.entry(key).or_default())
     };
-    resolve(&slot, || adder.program_opt(op, opt).into())
+    resolve(&slot, || checked(adder.program_opt(op, opt)))
+}
+
+/// Wraps a lowered program for the cache.
+///
+/// # Panics
+///
+/// Panics if a bundle breaks the co-issue rules — a compiler bug.
+pub(crate) fn checked(ops: Vec<MicroOp>) -> Arc<CheckedProgram> {
+    Arc::new(CheckedProgram::new(ops).expect("lowered programs issue valid bundles"))
 }
 
 /// An operand-independent addition suffix (a concatenation of
@@ -196,6 +212,7 @@ pub(crate) fn precompute_suffix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cim_bigint::Uint;
     use cim_logic::kogge_stone::SCRATCH_ROWS;
 
     fn layout(sum_row: usize) -> AdderLayout {
@@ -209,7 +226,7 @@ mod tests {
     }
 
     fn one_op_suffix(cols: usize) -> SuffixProgram {
-        let ops: Arc<[MicroOp]> = vec![MicroOp::reset_region(0..1, 0..cols)].into();
+        let ops = checked(vec![MicroOp::reset_region(0..1, 0..cols)]);
         let bounds: Arc<[usize]> = vec![ops.len()].into();
         SuffixProgram { ops, bounds }
     }
@@ -219,7 +236,7 @@ mod tests {
         let adder = KoggeStoneAdder::with_layout(16, layout(2));
         for op in [AddOp::Add, AddOp::Sub] {
             let cached = adder_program(&adder, op);
-            assert_eq!(cached.as_ref(), adder.program(op).as_slice());
+            assert_eq!(&cached[..], adder.program(op).as_slice());
         }
     }
 
@@ -240,7 +257,7 @@ mod tests {
         let b = adder_program(&KoggeStoneAdder::with_layout(16, layout(3)), AddOp::Add);
         assert!(!Arc::ptr_eq(&a, &b));
         // Programs for different sum rows must differ somewhere.
-        assert_ne!(a.as_ref(), b.as_ref());
+        assert_ne!(&a[..], &b[..]);
         let _ = SCRATCH_ROWS; // layout() above must match the real count
     }
 
@@ -250,7 +267,7 @@ mod tests {
         let o0 = adder_program_opt(&adder, AddOp::Add, OptLevel::O0);
         let o2 = adder_program_opt(&adder, AddOp::Add, OptLevel::O2);
         assert!(!Arc::ptr_eq(&o0, &o2));
-        assert_eq!(o0.as_ref(), adder.program(AddOp::Add).as_slice());
+        assert_eq!(&o0[..], adder.program(AddOp::Add).as_slice());
         let o0_cycles: u64 = o0.iter().map(MicroOp::cycles).sum();
         let o2_cycles: u64 = o2.iter().map(MicroOp::cycles).sum();
         assert!(o2_cycles < o0_cycles, "optimized program must be shorter");
@@ -286,9 +303,7 @@ mod tests {
         let builds = SUFFIX_KEYS.map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
         let (hits_before, misses_before) = stats();
 
-        let canonical: Arc<[MicroOp]> = KoggeStoneAdder::with_layout(SHARED_WIDTH, layout(2))
-            .program(AddOp::Add)
-            .into();
+        let canonical = KoggeStoneAdder::with_layout(SHARED_WIDTH, layout(2)).program(AddOp::Add);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let builds = &builds;
@@ -298,12 +313,12 @@ mod tests {
                         // Everyone hammers the same adder key…
                         let adder = KoggeStoneAdder::with_layout(SHARED_WIDTH, layout(2));
                         let prog = adder_program(&adder, AddOp::Add);
-                        assert_eq!(prog.as_ref(), canonical.as_ref());
+                        assert_eq!(&prog[..], canonical.as_slice());
                         // …and a distinct-per-thread key, so distinct
                         // compiles overlap same-key races.
                         let own = KoggeStoneAdder::with_layout(140 + t, layout(2));
                         let own_prog = adder_program(&own, AddOp::Add);
-                        assert_eq!(own_prog.as_ref(), own.program(AddOp::Add).as_slice());
+                        assert_eq!(&own_prog[..], own.program(AddOp::Add).as_slice());
                         // Suffix keys are contended by all threads; the
                         // per-key counter proves the builder can never
                         // run twice, even mid-race.
@@ -344,6 +359,73 @@ mod tests {
             "every lookup must be counted as hit or miss"
         );
         assert!(hits_after > hits_before, "contended keys must produce hits");
+    }
+
+    /// Every program the stages take from the cache — the
+    /// postcompute add and sub bodies and both precompute suffixes, at
+    /// every opt level — runs fused exactly as op by op, on 1, 2 and
+    /// 64 lanes, from random array states.
+    #[test]
+    fn cached_programs_run_fused_exactly_as_op_by_op() {
+        use crate::postcompute::{self, PostcomputeStage};
+        use crate::precompute::{self, PrecomputeStage};
+        use cim_crossbar::{EnduranceReport, Executor};
+        let mut rng = cim_bigint::rng::UintRng::seeded(14);
+        for n in [16usize, 64] {
+            for opt in OptLevel::ALL {
+                let pre = PrecomputeStage::with_opt_level(n, opt).unwrap();
+                let post = PostcomputeStage::with_opt_level(n, opt).unwrap();
+                let post_cols = post.adder_width() + 1;
+                let programs = [
+                    (pre.addition_suffix(10).ops, precompute::ROWS, pre.cols()),
+                    (pre.addition_suffix(5).ops, precompute::ROWS, pre.cols()),
+                    (
+                        adder_program_opt(&post.adder(), AddOp::Add, opt),
+                        postcompute::ROWS,
+                        post_cols,
+                    ),
+                    (
+                        adder_program_opt(&post.adder(), AddOp::Sub, opt),
+                        postcompute::ROWS,
+                        post_cols,
+                    ),
+                ];
+                for (i, (program, rows, cols)) in programs.into_iter().enumerate() {
+                    assert!(program.fused_pairs() > 0, "n {n} {opt:?} program {i}");
+                    for lanes in [1, 2, 64] {
+                        let what = format!("n {n} {opt:?} program {i}, {lanes} lanes");
+                        let mut unfused = crate::lane_array(rows, cols, lanes).unwrap();
+                        for r in 0..rows {
+                            let data: Vec<Uint> = (0..lanes).map(|_| rng.uniform(cols)).collect();
+                            let limbs: Vec<&[u64]> = data.iter().map(Uint::limbs).collect();
+                            unfused.write_row_lanes(r, 0, cols, &limbs).unwrap();
+                        }
+                        let mut fused = unfused.clone();
+                        let mut exec = Executor::new(&mut unfused);
+                        exec.run(&program).unwrap();
+                        let stats = *exec.stats();
+                        let mut exec = Executor::new(&mut fused);
+                        exec.run_checked(&program, ..).unwrap();
+                        assert_eq!(*exec.stats(), stats, "{what}");
+                        // Lane 0 cell by cell (value, wear, fault),
+                        // every lane's values and wear summary.
+                        assert!(fused == unfused, "{what}");
+                        for r in 0..rows {
+                            assert_eq!(
+                                fused.read_row_lanes(r, 0..cols, lanes).unwrap(),
+                                unfused.read_row_lanes(r, 0..cols, lanes).unwrap(),
+                                "{what}: row {r}"
+                            );
+                        }
+                        assert_eq!(
+                            EnduranceReport::per_lane(&fused),
+                            EnduranceReport::per_lane(&unfused),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -503,6 +503,25 @@ impl Crossbar {
         cols: ColRange,
         strict: bool,
     ) -> Result<(), CrossbarError> {
+        self.check_nor_rows(inputs, out, &cols)?;
+        match &mut self.state {
+            Backing::Packed(p) => p
+                .nor_rows(inputs, out, cols, strict)
+                .map_err(|col| CrossbarError::OutputNotInitialized { row: out, col }),
+            Backing::Sliced(p) => p
+                .nor_rows(inputs, out, cols, strict)
+                .map_err(|col| CrossbarError::OutputNotInitialized { row: out, col }),
+        }
+    }
+
+    /// The coordinate and aliasing checks of [`Crossbar::nor_rows`],
+    /// in its order.
+    fn check_nor_rows(
+        &self,
+        inputs: &[usize],
+        out: usize,
+        cols: &ColRange,
+    ) -> Result<(), CrossbarError> {
         for &r in inputs {
             self.check_row(r)?;
             if r == out {
@@ -513,14 +532,58 @@ impl Crossbar {
             }
         }
         self.check_row(out)?;
-        self.check_cols(&cols)?;
+        self.check_cols(cols)
+    }
+
+    /// The second half of an init-then-NOR pair whose init was issued
+    /// as wear only ([`Crossbar::wear_region`]): stores
+    /// `NOR(inputs…)` into `out` over `cols` with one wear pulse per
+    /// cell, skipping the strict-init scan. On a fault-free array
+    /// ([`Crossbar::is_fault_free`]) this leaves exactly the state of
+    /// the init wave followed by [`Crossbar::nor_rows`].
+    ///
+    /// # Errors
+    ///
+    /// The coordinate and aliasing errors of [`Crossbar::nor_rows`],
+    /// before any cell changes.
+    pub(crate) fn nor_rows_onto_ones(
+        &mut self,
+        inputs: &[usize],
+        out: usize,
+        cols: ColRange,
+    ) -> Result<(), CrossbarError> {
+        self.check_nor_rows(inputs, out, &cols)?;
         match &mut self.state {
-            Backing::Packed(p) => p
-                .nor_rows(inputs, out, cols, strict)
-                .map_err(|col| CrossbarError::OutputNotInitialized { row: out, col }),
-            Backing::Sliced(p) => p
-                .nor_rows(inputs, out, cols, strict)
-                .map_err(|col| CrossbarError::OutputNotInitialized { row: out, col }),
+            Backing::Packed(p) => p.nor_rows_onto_ones(inputs, out, cols),
+            Backing::Sliced(p) => p.nor_rows_onto_ones(inputs, out, cols),
+        }
+        Ok(())
+    }
+
+    /// The value half of an init wave on one row: drives `cols` of
+    /// `row` to logic 1 without wear. Completes a fill that
+    /// [`crate::Executor::run_checked`] deferred after already
+    /// recording its wear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span is outside the array (the deferred wear
+    /// pulse was range-checked).
+    pub(crate) fn store_ones(&mut self, row: usize, cols: ColRange) {
+        match &mut self.state {
+            Backing::Packed(p) => p.store_fill(row, cols, true),
+            Backing::Sliced(p) => p.store_fill(row, cols, true),
+        }
+    }
+
+    /// Whether no stuck-at fault was ever injected — the precondition
+    /// of the fused init/NOR path in [`crate::Executor::run_checked`].
+    /// Conservative: an array whose faults were all cleared since
+    /// reports `false`.
+    pub(crate) fn is_fault_free(&self) -> bool {
+        match &self.state {
+            Backing::Packed(p) => p.is_fault_free(),
+            Backing::Sliced(p) => p.is_fault_free(),
         }
     }
 

@@ -1,12 +1,15 @@
 //! The micro-op executor: runs programs, charges cycles, latches reads.
 
 use crate::array::Crossbar;
+use crate::checked::{CheckedProgram, Fuse};
 use crate::energy::EnergyReport;
 use crate::error::{Axis, CrossbarError};
+use crate::geometry::{ColRange, Region};
 use crate::isa::MicroOp;
 use crate::meter::{AttachedMeter, MeterSpec};
 use crate::stats::{CycleStats, OpClass};
 use cim_trace::{Args, Tracer, TrackId};
+use std::ops::{Bound, RangeBounds};
 
 /// Executor configuration.
 #[derive(Debug, Clone, Copy)]
@@ -401,6 +404,9 @@ pub struct Executor<'a> {
     track: Option<TrackId>,
     cycle_offset: u64,
     meter: Option<AttachedMeter>,
+    /// Init fills issued as wear only by [`Executor::run_checked`]
+    /// whose NOR has not run yet; empty outside that call.
+    deferred: Vec<(usize, ColRange)>,
 }
 
 impl<'a> Executor<'a> {
@@ -421,6 +427,7 @@ impl<'a> Executor<'a> {
             track: None,
             cycle_offset: 0,
             meter: None,
+            deferred: Vec::new(),
         }
     }
 
@@ -478,25 +485,34 @@ impl<'a> Executor<'a> {
     /// Propagates any [`CrossbarError`] from the array; on error the
     /// op's cycles are *not* charged.
     pub fn step(&mut self, op: &MicroOp) -> Result<(), CrossbarError> {
-        if let MicroOp::Parallel(inner) = op {
-            return self.step_bundle(inner);
+        match op {
+            MicroOp::Parallel(inner) => {
+                if let Some(detail) = MicroOp::bundle_conflict(inner) {
+                    return Err(CrossbarError::InvalidBundle { detail });
+                }
+                self.issue_bundle(inner, &[])
+            }
+            op => self.issue(op, Fuse::Plain),
         }
-        let class = self.apply_effect(op)?;
+    }
+
+    /// Executes one non-bundle op and charges it.
+    fn issue(&mut self, op: &MicroOp, fuse: Fuse) -> Result<(), CrossbarError> {
+        let class = self.apply_effect(op, fuse)?;
         self.observe(op, class, self.stats.cycles);
         self.stats.record(class, op.cycles());
         Ok(())
     }
 
-    /// Executes a co-issue bundle: all inner ops start on the same
-    /// cycle; the wall clock advances by the bundle maximum.
-    fn step_bundle(&mut self, inner: &[MicroOp]) -> Result<(), CrossbarError> {
-        if let Some(detail) = MicroOp::bundle_conflict(inner) {
-            return Err(CrossbarError::InvalidBundle { detail });
-        }
+    /// Executes a co-issue bundle that passed the co-issue rules: all
+    /// inner ops start on the same cycle; the wall clock advances by
+    /// the bundle maximum. `plan` holds one entry per inner op, or
+    /// none (all [`Fuse::Plain`]).
+    fn issue_bundle(&mut self, inner: &[MicroOp], plan: &[Fuse]) -> Result<(), CrossbarError> {
         let start = self.stats.cycles;
         let wall = inner.iter().map(MicroOp::cycles).max().unwrap_or(0);
-        for op in inner {
-            let class = self.apply_effect(op)?;
+        for (j, op) in inner.iter().enumerate() {
+            let class = self.apply_effect(op, plan.get(j).copied().unwrap_or(Fuse::Plain))?;
             self.observe(op, class, start);
             self.stats.record_co_issued(class, op.cycles());
         }
@@ -532,8 +548,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Applies the array-state effect of one non-bundle op and returns
-    /// its accounting class; charges nothing.
-    fn apply_effect(&mut self, op: &MicroOp) -> Result<OpClass, CrossbarError> {
+    /// its accounting class; charges nothing. `fuse` is the op's entry
+    /// in a [`CheckedProgram`]'s init-fusion plan.
+    fn apply_effect(&mut self, op: &MicroOp, fuse: Fuse) -> Result<OpClass, CrossbarError> {
         let class = match op {
             MicroOp::WriteRow {
                 row,
@@ -560,9 +577,18 @@ impl<'a> Executor<'a> {
                 OpClass::Read
             }
             MicroOp::InitRows { rows, cols } => {
-                for &r in rows {
-                    self.array
-                        .init_region(&crate::Region::new(r..r + 1, cols.clone()))?;
+                let wear_only = match fuse {
+                    Fuse::WearOnly(mask) => mask,
+                    _ => 0,
+                };
+                for (k, &r) in rows.iter().enumerate() {
+                    let region = Region::new(r..r + 1, cols.clone());
+                    if k < 64 && wear_only >> k & 1 == 1 {
+                        self.array.wear_region(&region, 1)?;
+                        self.deferred.push((r, cols.clone()));
+                    } else {
+                        self.array.init_region(&region)?;
+                    }
                 }
                 OpClass::Init
             }
@@ -573,13 +599,30 @@ impl<'a> Executor<'a> {
             MicroOp::ResetRows { rows, cols } => {
                 for &r in rows {
                     self.array
-                        .reset_region(&crate::Region::new(r..r + 1, cols.clone()))?;
+                        .reset_region(&Region::new(r..r + 1, cols.clone()))?;
                 }
                 OpClass::Init
             }
             MicroOp::NorRows { inputs, out, cols } => {
-                self.array
-                    .nor_rows(inputs, *out, cols.clone(), self.config.strict_init)?;
+                let partner = match fuse {
+                    Fuse::OntoOnes => self
+                        .deferred
+                        .iter()
+                        .position(|(r, c)| r == out && c == cols),
+                    _ => None,
+                };
+                match partner {
+                    Some(k) => {
+                        self.array.nor_rows_onto_ones(inputs, *out, cols.clone())?;
+                        self.deferred.swap_remove(k);
+                    }
+                    None => self.array.nor_rows(
+                        inputs,
+                        *out,
+                        cols.clone(),
+                        self.config.strict_init,
+                    )?,
+                }
                 OpClass::Magic
             }
             MicroOp::NorCols {
@@ -640,6 +683,65 @@ impl<'a> Executor<'a> {
             self.step(op)?;
         }
         Ok(())
+    }
+
+    /// Executes the ops `range` of a checked program (`..` for all of
+    /// it): bundles issue without re-checking the co-issue rules,
+    /// which [`CheckedProgram::new`] already applied.
+    ///
+    /// On a fault-free array each planned init/NOR pair runs fused:
+    /// the init row only wears, and the NOR stores its result in one
+    /// pass. Once a stuck-at fault was injected into the array, every
+    /// op runs as in [`Executor::step`]. Either way cycles, statistics, traces,
+    /// meters, values and wear equal those of [`Executor::run`] on
+    /// the same ops.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first error, as [`Executor::run`] does, and
+    /// leaves the array as that run would: fills deferred for a NOR
+    /// that did not run are applied before returning (also when the
+    /// range ends between an init and its NOR).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of the program's bounds.
+    pub fn run_checked(
+        &mut self,
+        program: &CheckedProgram,
+        range: impl RangeBounds<usize>,
+    ) -> Result<(), CrossbarError> {
+        let start = match range.start_bound() {
+            Bound::Included(&i) => i,
+            Bound::Excluded(&i) => i + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&i) => i + 1,
+            Bound::Excluded(&i) => i,
+            Bound::Unbounded => program.len(),
+        };
+        assert!(
+            start <= end && end <= program.len(),
+            "op range {start}..{end} outside a {}-op program",
+            program.len()
+        );
+        let fuse = self.array.is_fault_free();
+        let mut result = Ok(());
+        for i in start..end {
+            let plan = if fuse { program.plan_of(i) } else { &[] };
+            result = match &program[i] {
+                MicroOp::Parallel(inner) => self.issue_bundle(inner, plan),
+                op => self.issue(op, plan.first().copied().unwrap_or(Fuse::Plain)),
+            };
+            if result.is_err() {
+                break;
+            }
+        }
+        while let Some((row, cols)) = self.deferred.pop() {
+            self.array.store_ones(row, cols);
+        }
+        result
     }
 
     /// The most recent `ReadRow` result.
@@ -1096,6 +1198,115 @@ mod tests {
             Some(stats.init_cycles as f64),
             "meter sees each co-issued gate"
         );
+    }
+
+    /// Every lane of every cell equal: value, wear and fault.
+    fn assert_same_state(a: &Crossbar, b: &Crossbar, what: &str) {
+        assert_eq!(a.lanes(), b.lanes());
+        for lane in 0..a.lanes() {
+            for r in 0..a.rows() {
+                for c in 0..a.cols() {
+                    assert_eq!(
+                        a.lane_cell(lane, r, c).unwrap(),
+                        b.lane_cell(lane, r, c).unwrap(),
+                        "{what}: lane {lane} cell ({r}, {c})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Runs `program` op by op and as a checked program on twins of
+    /// `array`; both must stop with the same error (or none), the same
+    /// statistics and the same cells.
+    fn assert_checked_matches_run(array: &Crossbar, program: Vec<MicroOp>, what: &str) {
+        let (mut raw, mut fused) = (array.clone(), array.clone());
+        let mut e1 = Executor::new(&mut raw);
+        let r1 = e1.run(&program);
+        let s1 = *e1.stats();
+        let checked = CheckedProgram::new(program).unwrap();
+        assert!(checked.fused_pairs() > 0, "{what}: nothing to fuse");
+        let mut e2 = Executor::new(&mut fused);
+        let r2 = e2.run_checked(&checked, ..);
+        assert_eq!(r2, r1, "{what}");
+        assert_eq!(*e2.stats(), s1, "{what}");
+        assert_same_state(&raw, &fused, what);
+    }
+
+    #[test]
+    fn checked_errors_leave_the_state_of_the_unfused_run() {
+        let ones = [true; 130];
+        for (kind, array) in [
+            ("packed", Crossbar::new(4, 130).unwrap()),
+            ("sliced", Crossbar::new_sliced(4, 130, 64).unwrap()),
+        ] {
+            // Strict-init failure on a NOR issued while the fills of
+            // rows 1 and 2 are still deferred.
+            assert_checked_matches_run(
+                &array,
+                vec![
+                    MicroOp::write_row(0, &ones),
+                    MicroOp::init_rows(&[1, 2], 0..130),
+                    MicroOp::nor_rows(&[0], 3, 0..130),
+                    MicroOp::not_row(0, 1, 0..130),
+                    MicroOp::not_row(0, 2, 0..130),
+                ],
+                &format!("{kind}: strict init"),
+            );
+            // Out-of-range rows on a 4-row array: in the init wave
+            // after a deferred row, and as the input of a NOR whose
+            // output fill is deferred.
+            assert_checked_matches_run(
+                &array,
+                vec![
+                    MicroOp::write_row(0, &ones),
+                    MicroOp::init_rows(&[1, 5], 0..130),
+                    MicroOp::not_row(0, 1, 0..130),
+                    MicroOp::not_row(0, 5, 0..130),
+                ],
+                &format!("{kind}: init row out of range"),
+            );
+            assert_checked_matches_run(
+                &array,
+                vec![
+                    MicroOp::write_row(0, &ones),
+                    MicroOp::init_rows(&[1], 0..130),
+                    MicroOp::nor_rows(&[0, 7], 1, 0..130),
+                ],
+                &format!("{kind}: NOR input out of range"),
+            );
+            // Success, including a three-input NOR.
+            assert_checked_matches_run(
+                &array,
+                vec![
+                    MicroOp::write_row(0, &ones[..65]),
+                    MicroOp::write_row_at(1, 3, &ones[..9]),
+                    MicroOp::write_row_at(2, 64, &ones[..2]),
+                    MicroOp::init_rows(&[3], 1..129),
+                    MicroOp::nor_rows(&[0, 1, 2], 3, 1..129),
+                ],
+                &format!("{kind}: three inputs"),
+            );
+        }
+    }
+
+    #[test]
+    fn checked_range_ending_between_init_and_nor_applies_the_fill() {
+        let program = vec![
+            MicroOp::write_row(0, &[true, false, true]),
+            MicroOp::init_rows(&[1], 0..3),
+            MicroOp::not_row(0, 1, 0..3),
+        ];
+        let mut raw = Crossbar::new(2, 3).unwrap();
+        Executor::new(&mut raw).run(&program).unwrap();
+        let checked = CheckedProgram::new(program).unwrap();
+        let mut split = Crossbar::new(2, 3).unwrap();
+        let mut exec = Executor::new(&mut split);
+        exec.run_checked(&checked, ..2).unwrap();
+        assert_eq!(exec.array().read_row_bits(1, 0..3).unwrap(), vec![true; 3]);
+        exec.run_checked(&checked, 2..).unwrap();
+        assert_eq!(exec.stats().cycles, 3);
+        assert_same_state(&raw, &split, "split run");
     }
 
     #[test]

@@ -51,6 +51,7 @@
 
 mod array;
 mod cell;
+mod checked;
 mod endurance;
 pub mod energy;
 mod error;
@@ -67,6 +68,7 @@ mod wear;
 
 pub use array::{BackendKind, Crossbar};
 pub use cell::{Cell, Fault};
+pub use checked::CheckedProgram;
 pub use endurance::{EnduranceReport, CELL_ENDURANCE_WRITES};
 pub use energy::{EnergyParams, EnergyReport};
 pub use error::{Axis, CrossbarError};

@@ -132,6 +132,12 @@ impl PackedPlanes {
         }
     }
 
+    /// Whether no fault was ever injected: the stuck-at planes are
+    /// allocated on the first injection and kept after a clear.
+    pub(crate) fn is_fault_free(&self) -> bool {
+        self.sa0.is_empty()
+    }
+
     /// Synthesizes the [`Cell`] view of one coordinate (raw value,
     /// exact wear, fault) — identical to what a per-cell model
     /// stores.
@@ -230,14 +236,19 @@ impl PackedPlanes {
 
     /// Parallel set/reset wave over the span of each row in `rows`.
     pub(crate) fn fill(&mut self, rows: std::ops::Range<usize>, cols: ColRange, value: bool) {
-        let fill = if value { u64::MAX } else { 0 };
         for row in rows {
-            for (w, mask, _) in word_spans(cols.clone()) {
-                let m = mask & !self.fault_word(row, w);
-                let i = self.idx(row, w);
-                self.value[i] = (self.value[i] & !m) | (fill & m);
-            }
+            self.store_fill(row, cols.clone(), value);
             self.wear.add(row, cols.clone(), 1);
+        }
+    }
+
+    /// The value half of [`PackedPlanes::fill`] on one row: no wear.
+    pub(crate) fn store_fill(&mut self, row: usize, cols: ColRange, value: bool) {
+        let fill = if value { u64::MAX } else { 0 };
+        for (w, mask, _) in word_spans(cols) {
+            let m = mask & !self.fault_word(row, w);
+            let i = self.idx(row, w);
+            self.value[i] = (self.value[i] & !m) | (fill & m);
         }
     }
 
@@ -287,6 +298,19 @@ impl PackedPlanes {
             Some(col) => Err(col),
             None => Ok(()),
         }
+    }
+
+    /// A row NOR onto an output whose init wave was issued as wear
+    /// only: each word of `out` in `cols` takes `!(a | b | …)` and
+    /// the span wears once. Equal to the fill plus
+    /// [`PackedPlanes::nor_rows`] when no cell is faulty.
+    pub(crate) fn nor_rows_onto_ones(&mut self, inputs: &[usize], out: usize, cols: ColRange) {
+        for (w, mask, _) in word_spans(cols.clone()) {
+            let any = inputs.iter().fold(0, |any, &r| any | self.read_word(r, w));
+            let i = self.idx(out, w);
+            self.value[i] = (self.value[i] & !mask) | (!any & mask);
+        }
+        self.wear.add(out, cols, 1);
     }
 
     /// MAGIC NOR along rows (column-oriented): one output bit per row,

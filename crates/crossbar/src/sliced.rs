@@ -368,19 +368,24 @@ impl SlicedPlanes {
     /// Parallel set/reset wave: every lane of every cell in the region
     /// is pulsed to `value`.
     pub(crate) fn fill(&mut self, rows: std::ops::Range<usize>, cols: ColRange, value: bool) {
-        let word = if value { u64::MAX } else { 0 };
         for row in rows {
-            let base = self.idx(row, 0);
-            if self.sa0.is_empty() {
-                self.value[base + cols.start..base + cols.end].fill(word);
-            } else {
-                for col in cols.clone() {
-                    let keep = self.fault_word(row, col);
-                    let i = base + col;
-                    self.value[i] = (self.value[i] & keep) | (word & !keep);
-                }
-            }
+            self.store_fill(row, cols.clone(), value);
             self.uniform.add(row, cols.clone(), 1);
+        }
+    }
+
+    /// The value half of [`SlicedPlanes::fill`] on one row: no wear.
+    pub(crate) fn store_fill(&mut self, row: usize, cols: ColRange, value: bool) {
+        let word = if value { u64::MAX } else { 0 };
+        let base = self.idx(row, 0);
+        if self.sa0.is_empty() {
+            self.value[base + cols.start..base + cols.end].fill(word);
+        } else {
+            for col in cols {
+                let keep = self.fault_word(row, col);
+                let i = base + col;
+                self.value[i] = (self.value[i] & keep) | (word & !keep);
+            }
         }
     }
 
@@ -421,7 +426,7 @@ impl SlicedPlanes {
                 inputs[inputs.len() - 1],
                 out,
                 cols,
-                strict,
+                Some(strict),
             );
         }
         let fail_col = if strict { self.first_uninit(out, &cols) } else { None };
@@ -442,18 +447,38 @@ impl SlicedPlanes {
         }
     }
 
+    /// A row NOR onto an output whose init wave was issued as wear
+    /// only: every lane word of `out` in `cols` takes `!(a | b | …)`
+    /// and the span wears once. Equal to the fill plus
+    /// [`SlicedPlanes::nor_rows`] when no cell is faulty.
+    pub(crate) fn nor_rows_onto_ones(&mut self, inputs: &[usize], out: usize, cols: ColRange) {
+        if inputs.len() == 1 || inputs.len() == 2 {
+            self.nor_rows_fault_free(inputs[0], inputs[inputs.len() - 1], out, cols, None)
+                .expect("a store runs no init scan");
+            return;
+        }
+        for col in cols.clone() {
+            let any = inputs.iter().fold(0, |any, &r| any | self.read_word(r, col));
+            let i = self.idx(out, col);
+            self.value[i] = !any;
+        }
+        self.uniform.add(out, cols, 1);
+    }
+
     /// The fault-free [`SlicedPlanes::nor_rows`] of one or two input
     /// rows: disjoint row slices, driven in 64-column chunks that are
     /// each checked for initialization (one AND fold) and then pulled
     /// down while still in cache — one pass over the output row, with
-    /// the same stop-at-first-failure semantics.
+    /// the same stop-at-first-failure semantics. `strict` is `None`
+    /// for [`SlicedPlanes::nor_rows_onto_ones`]: the output takes the
+    /// NOR result outright.
     fn nor_rows_fault_free(
         &mut self,
         in_a: usize,
         in_b: usize,
         out: usize,
         cols: ColRange,
-        strict: bool,
+        strict: Option<bool>,
     ) -> Result<(), usize> {
         let active = self.active_mask();
         let cols_n = self.cols;
@@ -474,8 +499,14 @@ impl SlicedPlanes {
             .zip(a.chunks(64))
             .zip(b.chunks(64));
         for (k, ((o, a), b)) in chunks.enumerate() {
+            if strict.is_none() {
+                for ((o, &a), &b) in o.iter_mut().zip(a).zip(b) {
+                    *o = !(a | b);
+                }
+                continue;
+            }
             let mut n = o.len();
-            if strict && o.iter().fold(active, |acc, &v| acc & v) != active {
+            if strict == Some(true) && o.iter().fold(active, |acc, &v| acc & v) != active {
                 n = o
                     .iter()
                     .position(|&v| v & active != active)
@@ -649,6 +680,12 @@ impl SlicedPlanes {
             Some(Fault::StuckAt1) => self.sa1[i] |= bit,
             None => {}
         }
+    }
+
+    /// Whether no fault was ever injected: the stuck-at planes are
+    /// allocated on the first injection and kept after a clear.
+    pub(crate) fn is_fault_free(&self) -> bool {
+        self.sa0.is_empty()
     }
 
     /// `true` when no active lane of `row` in `cols` has a fault.
