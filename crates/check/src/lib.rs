@@ -47,11 +47,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bits;
 mod gen;
 mod gold;
 mod pressure;
+#[cfg(test)]
+mod reference;
 mod verify;
 
+pub use bits::BitGrid;
 pub use gen::{BatchGen, LaneBatch, ProgramGen};
 pub use gold::GoldMatrix;
 pub use pressure::{Hotspot, WritePressure};

@@ -20,6 +20,57 @@ pub struct Hotspot {
     pub writes: u64,
 }
 
+/// Write pressure while a program is being walked: one difference
+/// array over the row-major cells, so recording a driven row span costs
+/// two updates however wide it is. [`PressureLog::finish`] turns it
+/// into the per-cell counts in place.
+#[derive(Debug, Clone)]
+pub(crate) struct PressureLog {
+    rows: usize,
+    cols: usize,
+    /// Cell `i`'s count minus cell `i − 1`'s, wrapping: a span adds 1
+    /// at its first cell and takes 1 back one past its last, and the
+    /// prefix sums are the counts. One extra slot past the last cell.
+    delta: Vec<u64>,
+}
+
+impl PressureLog {
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
+        PressureLog {
+            rows,
+            cols,
+            delta: vec![0; rows * cols + 1],
+        }
+    }
+
+    /// One drive of every cell of `row` in `cols` (inside the array).
+    pub(crate) fn record_span(&mut self, row: usize, cols: std::ops::Range<usize>) {
+        let base = row * self.cols;
+        self.delta[base + cols.start] = self.delta[base + cols.start].wrapping_add(1);
+        self.delta[base + cols.end] = self.delta[base + cols.end].wrapping_sub(1);
+    }
+
+    /// The per-cell counts: one prefix sum over the difference array.
+    pub(crate) fn finish(self) -> WritePressure {
+        let PressureLog {
+            rows,
+            cols,
+            mut delta,
+        } = self;
+        let mut running = 0u64;
+        for d in &mut delta {
+            running = running.wrapping_add(*d);
+            *d = running;
+        }
+        delta.pop();
+        WritePressure {
+            rows,
+            cols,
+            writes: delta,
+        }
+    }
+}
+
 /// Per-cell write counts accumulated by a single program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WritePressure {
@@ -29,17 +80,6 @@ pub struct WritePressure {
 }
 
 impl WritePressure {
-    pub(crate) fn new(rows: usize, cols: usize) -> Self {
-        WritePressure {
-            rows,
-            cols,
-            writes: vec![0; rows * cols],
-        }
-    }
-
-    pub(crate) fn record(&mut self, row: usize, col: usize) {
-        self.writes[row * self.cols + col] += 1;
-    }
 
     /// Writes the program applies to the given cell.
     pub fn writes_at(&self, row: usize, col: usize) -> u64 {
@@ -118,13 +158,14 @@ mod tests {
 
     #[test]
     fn records_and_ranks_hotspots() {
-        let mut p = WritePressure::new(2, 3);
+        let mut log = PressureLog::new(2, 3);
         for _ in 0..5 {
-            p.record(1, 2);
+            log.record_span(1, 2..3);
         }
-        p.record(0, 0);
-        p.record(0, 0);
-        p.record(1, 0);
+        log.record_span(0, 0..1);
+        log.record_span(0, 0..1);
+        log.record_span(1, 0..1);
+        let p = log.finish();
         assert_eq!(p.writes_at(1, 2), 5);
         assert_eq!(p.max_writes(), 5);
         assert_eq!(p.total_writes(), 8);
@@ -142,18 +183,34 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_divides_endurance_by_peak() {
-        let mut p = WritePressure::new(1, 1);
-        assert_eq!(p.endurance_lifetime_runs(), None);
-        for _ in 0..4 {
-            p.record(0, 0);
+    fn overlapping_spans_sum_per_cell() {
+        let mut log = PressureLog::new(2, 70);
+        log.record_span(0, 0..70);
+        log.record_span(0, 60..65);
+        log.record_span(1, 0..1);
+        log.record_span(1, 69..70);
+        let p = log.finish();
+        for c in 0..70 {
+            let want = 1 + u64::from((60..65).contains(&c));
+            assert_eq!(p.writes_at(0, c), want, "row 0 col {c}");
+            assert_eq!(p.writes_at(1, c), u64::from(c == 0 || c == 69), "row 1 col {c}");
         }
-        assert_eq!(p.endurance_lifetime_runs(), Some(CELL_ENDURANCE_WRITES / 4));
+        assert_eq!(p.total_writes(), 70 + 5 + 2);
+    }
+
+    #[test]
+    fn lifetime_divides_endurance_by_peak() {
+        let mut log = PressureLog::new(1, 1);
+        assert_eq!(log.clone().finish().endurance_lifetime_runs(), None);
+        for _ in 0..4 {
+            log.record_span(0, 0..1);
+        }
+        assert_eq!(log.finish().endurance_lifetime_runs(), Some(CELL_ENDURANCE_WRITES / 4));
     }
 
     #[test]
     fn empty_pressure_is_quiet() {
-        let p = WritePressure::new(4, 4);
+        let p = PressureLog::new(4, 4).finish();
         assert_eq!(p.max_writes(), 0);
         assert_eq!(p.mean_writes(), 0.0);
         assert!(p.hotspots(0).is_empty());

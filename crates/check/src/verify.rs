@@ -15,10 +15,12 @@
 //! are compile-time constants of the program — only cell *values* are
 //! data-dependent, and the lattice never needs them.
 
-use crate::pressure::WritePressure;
+use crate::bits::BitGrid;
+use crate::pressure::{PressureLog, WritePressure};
 use cim_crossbar::{Axis, MicroOp, Region};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Violations collected before verification gives up on a program.
 /// Keeps pathological inputs (e.g. fuzzer-mutated programs that are
@@ -30,7 +32,7 @@ pub const MAX_VIOLATIONS: usize = 64;
 pub struct VerifyConfig {
     rows: usize,
     cols: usize,
-    preloaded: Vec<Region>,
+    pub(crate) preloaded: Vec<Region>,
 }
 
 impl VerifyConfig {
@@ -197,21 +199,17 @@ pub struct VerifyReport {
     pub pressure: WritePressure,
 }
 
-/// Abstract state of one cell during verification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellState {
-    Uninit,
-    One,
-    Defined,
-}
-
-/// The per-cell lattice the verifier (and the well-formed-program
-/// generator) steps over a program.
+/// The lattice the verifier (and the well-formed-program generator)
+/// steps over a program, held as two bitplanes: `init` marks cells
+/// that hold a value (One or Defined), `one` the cells known to hold
+/// logic 1 (`one ⊆ init`). A cell in neither is Uninit. Every transfer
+/// function is a word-range set or clear on the planes.
 #[derive(Debug, Clone)]
 pub(crate) struct AbstractState {
     rows: usize,
     cols: usize,
-    cells: Vec<CellState>,
+    init: BitGrid,
+    one: BitGrid,
 }
 
 impl AbstractState {
@@ -219,40 +217,58 @@ impl AbstractState {
         let mut state = AbstractState {
             rows: config.rows,
             cols: config.cols,
-            cells: vec![CellState::Uninit; config.rows * config.cols],
+            init: BitGrid::new(config.rows, config.cols),
+            one: BitGrid::new(config.rows, config.cols),
         };
         for region in &config.preloaded {
-            for r in region.rows.clone() {
-                for c in region.cols.clone() {
-                    if r < state.rows && c < state.cols {
-                        state.cells[r * state.cols + c] = CellState::Defined;
-                    }
-                }
-            }
+            state.init.set(region.rows.clone(), region.cols.clone());
         }
         state
     }
 
-    fn get(&self, row: usize, col: usize) -> CellState {
-        self.cells[row * self.cols + col]
+    /// Drives `rows × cols` to Defined (data) and records the wear.
+    fn define(
+        &mut self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        pressure: &mut Option<&mut PressureLog>,
+    ) {
+        self.init.set(rows.clone(), cols.clone());
+        self.one.clear(rows.clone(), cols.clone());
+        if let Some(p) = pressure {
+            for r in rows {
+                p.record_span(r, cols.clone());
+            }
+        }
     }
 
-    fn set(&mut self, row: usize, col: usize, s: CellState) {
-        self.cells[row * self.cols + col] = s;
+    /// Drives one row span to One (a set wave) and records the wear.
+    fn set_one(
+        &mut self,
+        row: usize,
+        cols: Range<usize>,
+        pressure: &mut Option<&mut PressureLog>,
+    ) {
+        self.init.set(row..row + 1, cols.clone());
+        self.one.set(row..row + 1, cols.clone());
+        if let Some(p) = pressure {
+            p.record_span(row, cols);
+        }
     }
 
-    /// Drives a cell and records wear.
-    fn write(
+    /// Stores a row-write payload: `len` cells from `col` on become
+    /// Defined, and those whose bit in `ones` (little-endian words) is
+    /// set become One.
+    fn store(
         &mut self,
         row: usize,
         col: usize,
-        s: CellState,
-        pressure: &mut Option<&mut WritePressure>,
+        len: usize,
+        ones: &[u64],
+        pressure: &mut Option<&mut PressureLog>,
     ) {
-        self.set(row, col, s);
-        if let Some(p) = pressure {
-            p.record(row, col);
-        }
+        self.define(row..row + 1, col..col + len, pressure);
+        self.one.store(row, col, len, ones);
     }
 
     /// Applies `op` (program index `index`), appending any violations.
@@ -265,7 +281,7 @@ impl AbstractState {
         index: usize,
         op: &MicroOp,
         violations: &mut Vec<Violation>,
-        mut pressure: Option<&mut WritePressure>,
+        mut pressure: Option<&mut PressureLog>,
     ) {
         // Co-issue bundles: re-derive the issue rules here instead of
         // calling the executor's `MicroOp::bundle_conflict`, so the
@@ -402,37 +418,50 @@ impl AbstractState {
             return;
         }
 
-        // Read-before-init over every sensed cell (one report per op).
-        let mut read_reported = false;
-        for region in &fp.reads {
-            for r in region.rows.clone() {
-                for c in region.cols.clone() {
-                    if !read_reported && self.get(r, c) == CellState::Uninit {
-                        violations.push(Violation::ReadBeforeInit {
-                            op: index,
-                            row: r,
-                            col: c,
-                        });
-                        read_reported = true;
-                    }
-                }
-            }
+        // Read-before-init: the first uninitialized cell sensed, in
+        // region order and row-major within a region (one report per
+        // op).
+        if let Some((row, col)) = fp.reads.iter().find_map(|region| {
+            self.init
+                .first_clear(region.rows.clone(), region.cols.clone())
+        }) {
+            violations.push(Violation::ReadBeforeInit {
+                op: index,
+                row,
+                col,
+            });
         }
 
-        // MAGIC output-init rule plus the transfer function.
-        let mut init_reported = false;
-        let mut magic_out =
-            |state: &mut Self, r: usize, c: usize, pressure: &mut Option<&mut WritePressure>| {
-                if !init_reported && state.get(r, c) != CellState::One {
-                    violations.push(Violation::OutputNotInitialized {
-                        op: index,
-                        row: r,
-                        col: c,
-                    });
-                    init_reported = true;
-                }
-                state.write(r, c, CellState::Defined, pressure);
-            };
+        // MAGIC output-init rule (the first output cell, in drive
+        // order, that is not known One), then the transfer function.
+        // Every output cell of one op is distinct, so checking them
+        // all before driving any is exact.
+        let stale_output = match op {
+            MicroOp::NorRows { out, cols, .. } => self.one.first_clear(*out..out + 1, cols.clone()),
+            MicroOp::NorCols { out_col, rows, .. } => {
+                self.one.first_clear(rows.clone(), *out_col..out_col + 1)
+            }
+            MicroOp::NorColsPartitioned {
+                rows,
+                cols,
+                part_width,
+                out_offset,
+                ..
+            } => rows.clone().find_map(|r| {
+                (cols.start..cols.end)
+                    .step_by(*part_width)
+                    .map(|base| (r, base + out_offset))
+                    .find(|&(r, c)| !self.one.get(r, c))
+            }),
+            _ => None,
+        };
+        if let Some((row, col)) = stale_output {
+            violations.push(Violation::OutputNotInitialized {
+                op: index,
+                row,
+                col,
+            });
+        }
         match op {
             MicroOp::WriteRow {
                 row,
@@ -441,10 +470,11 @@ impl AbstractState {
             } => {
                 // Payload bits are program constants, so the lattice
                 // stays exact: a written 1 is a legal MAGIC output.
-                for (i, &b) in bits.iter().enumerate() {
-                    let s = if b { CellState::One } else { CellState::Defined };
-                    self.write(*row, col_offset + i, s, &mut pressure);
+                let mut ones = vec![0u64; bits.len().div_ceil(64)];
+                for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+                    ones[i / 64] |= 1 << (i % 64);
                 }
+                self.store(*row, *col_offset, bits.len(), &ones, &mut pressure);
             }
             MicroOp::WriteRowLanes {
                 row,
@@ -456,51 +486,38 @@ impl AbstractState {
                 // write 0: a cell is known-One for the MAGIC init rule
                 // only when every one of the word's lanes writes 1
                 // (sound for any active lane count), else just data.
-                let full = lanes.len() == cim_crossbar::MAX_BATCH_LANES;
-                for i in 0..*len {
-                    let all_one = full
-                        && lanes
-                            .iter()
-                            .all(|l| l.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1));
-                    let s = if all_one {
-                        CellState::One
-                    } else {
-                        CellState::Defined
-                    };
-                    self.write(*row, col_offset + i, s, &mut pressure);
+                if lanes.len() == cim_crossbar::MAX_BATCH_LANES {
+                    let ones: Vec<u64> = (0..len.div_ceil(64))
+                        .map(|w| {
+                            lanes
+                                .iter()
+                                .fold(u64::MAX, |acc, l| acc & l.get(w).copied().unwrap_or(0))
+                        })
+                        .collect();
+                    self.store(*row, *col_offset, *len, &ones, &mut pressure);
+                } else {
+                    self.define(*row..row + 1, *col_offset..col_offset + len, &mut pressure);
                 }
             }
             MicroOp::ReadRow { .. } => {} // read-only; handled above
             MicroOp::InitRows { rows, cols } => {
                 for &r in rows {
-                    for c in cols.clone() {
-                        self.write(r, c, CellState::One, &mut pressure);
-                    }
+                    self.set_one(r, cols.clone(), &mut pressure);
                 }
             }
             MicroOp::ResetRegion(region) => {
-                for r in region.rows.clone() {
-                    for c in region.cols.clone() {
-                        self.write(r, c, CellState::Defined, &mut pressure);
-                    }
-                }
+                self.define(region.rows.clone(), region.cols.clone(), &mut pressure);
             }
             MicroOp::ResetRows { rows, cols } => {
                 for &r in rows {
-                    for c in cols.clone() {
-                        self.write(r, c, CellState::Defined, &mut pressure);
-                    }
+                    self.define(r..r + 1, cols.clone(), &mut pressure);
                 }
             }
             MicroOp::NorRows { out, cols, .. } => {
-                for c in cols.clone() {
-                    magic_out(self, *out, c, &mut pressure);
-                }
+                self.define(*out..out + 1, cols.clone(), &mut pressure);
             }
             MicroOp::NorCols { out_col, rows, .. } => {
-                for r in rows.clone() {
-                    magic_out(self, r, *out_col, &mut pressure);
-                }
+                self.define(rows.clone(), *out_col..out_col + 1, &mut pressure);
             }
             MicroOp::NorColsPartitioned {
                 rows,
@@ -509,19 +526,16 @@ impl AbstractState {
                 out_offset,
                 ..
             } => {
-                for r in rows.clone() {
-                    for base in (cols.start..cols.end).step_by(*part_width) {
-                        magic_out(self, r, base + out_offset, &mut pressure);
-                    }
+                for base in (cols.start..cols.end).step_by(*part_width) {
+                    let c = base + out_offset;
+                    self.define(rows.clone(), c..c + 1, &mut pressure);
                 }
             }
             MicroOp::Shift { dst, cols, .. } => {
                 // The source window was checked as a read; every cell
                 // of the destination window becomes data (vacated
                 // positions take the constant fill, still Defined).
-                for c in cols.clone() {
-                    self.write(*dst, c, CellState::Defined, &mut pressure);
-                }
+                self.define(*dst..dst + 1, cols.clone(), &mut pressure);
             }
             MicroOp::Parallel(_) => unreachable!("bundles are intercepted at the top of apply"),
         }
@@ -548,7 +562,7 @@ impl AbstractState {
 /// program order.
 pub fn verify(program: &[MicroOp], config: &VerifyConfig) -> Result<VerifyReport, VerifyError> {
     let mut state = AbstractState::from_config(config);
-    let mut pressure = WritePressure::new(config.rows, config.cols);
+    let mut pressure = PressureLog::new(config.rows, config.cols);
     let mut violations = Vec::new();
     let mut cycles = 0u64;
     for (index, op) in program.iter().enumerate() {
@@ -562,7 +576,7 @@ pub fn verify(program: &[MicroOp], config: &VerifyConfig) -> Result<VerifyReport
         Ok(VerifyReport {
             ops: program.len(),
             cycles,
-            pressure,
+            pressure: pressure.finish(),
         })
     } else {
         Err(VerifyError { violations })

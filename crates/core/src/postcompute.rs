@@ -233,10 +233,16 @@ impl PostcomputeStage {
 
     /// Measured (implementation-exact) latency. At `O0`:
     /// `11·(20 + 11·⌈log2 1.5n⌉) + 1` cc; higher levels substitute the
-    /// optimized adder body's cycle count.
+    /// cycle count of the cached optimized adder body the passes run
+    /// (addition and subtraction bodies cost the same).
     pub fn latency(&self) -> u64 {
-        let adder = KoggeStoneAdder::new(self.adder_width());
-        11 * (3 + adder.latency_at(self.opt)) + 1
+        let body = if self.opt == OptLevel::O0 {
+            self.adder().latency()
+        } else {
+            let body = crate::progcache::adder_program_opt(&self.adder(), AddOp::Add, self.opt);
+            cim_mir::program_cycles(&body)
+        };
+        11 * (3 + body) + 1
     }
 
     /// The paper's closed-form latency:

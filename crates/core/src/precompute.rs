@@ -278,7 +278,9 @@ impl PrecomputeStage {
     /// addition is then re-packed into co-issue bundles individually
     /// (bundles never straddle addition boundaries, preserving
     /// per-addition trace attribution). The returned bounds locate
-    /// each addition's ops in the fused program.
+    /// each addition's ops in the fused program. An optimized suffix
+    /// is gated on the static verifier (in every build), as
+    /// `cim_mir::verified_lower` gates the adder bodies.
     pub(crate) fn addition_suffix(&self, additions: usize) -> SuffixProgram {
         let opt = self.opt;
         let cols = self.cols();
@@ -337,6 +339,7 @@ impl PrecomputeStage {
                 }
                 bounds.push(ops.len());
             }
+            verify_suffix(&ops, cols, opt);
             SuffixProgram {
                 ops: crate::progcache::checked(ops),
                 bounds: bounds.into(),
@@ -540,6 +543,22 @@ impl BatchPrecomputeOutput {
     }
 }
 
+/// Statically verifies an optimized addition suffix for a `cols`-wide
+/// stage array. The chunk writes define exactly the eight input rows
+/// before the suffix runs, so those are its only preloads.
+///
+/// # Panics
+///
+/// Panics if the suffix fails verification (a pass bug, never a
+/// data-dependent condition).
+fn verify_suffix(ops: &[MicroOp], cols: usize, opt: OptLevel) {
+    let config = cim_check::VerifyConfig::new(ROWS, cols)
+        .with_preloaded(Region::new(INPUT_BASE..INPUT_BASE + 8, 0..cols));
+    if let Err(err) = cim_check::verify(ops, &config) {
+        panic!("PrecomputeStage::addition_suffix: {opt} suffix failed pass-validity verification:\n{err}");
+    }
+}
+
 /// Reads the nine leaf rows `rows` of every lane, in leaf order.
 fn read_leaves(
     array: &Crossbar,
@@ -613,6 +632,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The optimized suffixes the program cache hands out, multiply
+    /// and square, pass the verifier on their own; run under
+    /// `cargo test --release` too, where the stage's debug checks of
+    /// the composed program compile out.
+    #[test]
+    fn cached_optimized_suffixes_verify() {
+        for n in [16usize, 64, 512] {
+            for opt in [OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+                let stage = PrecomputeStage::with_opt_level(n, opt).unwrap();
+                for additions in [ADDITIONS.len(), SQUARE_ADDITIONS] {
+                    verify_suffix(&stage.addition_suffix(additions).ops, stage.cols(), opt);
+                }
+            }
+        }
+    }
+
+    /// The gate rejects a suffix that lost its first op (the first
+    /// addition's set wave).
+    #[test]
+    #[should_panic(expected = "O3 suffix failed pass-validity verification")]
+    fn suffix_gate_rejects_a_broken_suffix() {
+        let stage = PrecomputeStage::with_opt_level(64, OptLevel::O3).unwrap();
+        let ops = &stage.addition_suffix(ADDITIONS.len()).ops[1..];
+        verify_suffix(ops, stage.cols(), OptLevel::O3);
     }
 
     #[test]

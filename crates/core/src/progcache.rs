@@ -22,7 +22,8 @@
 //! invalidation. Hit/miss/entry counters are exposed via [`stats`] and
 //! [`entries`], and published to a metrics hub as
 //! `cim_core_progcache_*` counters by
-//! [`publish_metrics`].
+//! [`publish_metrics`], together with each miss's host compile time
+//! (`cim_core_progcache_compile_ns`).
 
 use cim_crossbar::{CheckedProgram, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder};
@@ -30,6 +31,7 @@ use cim_mir::OptLevel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Key of one cached adder program.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -80,6 +82,8 @@ struct Caches {
 static CACHES: OnceLock<Mutex<Caches>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
+/// Compile times (ns) of the misses no hub has been handed yet.
+static UNPUBLISHED_COMPILE_NS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
 fn caches() -> &'static Mutex<Caches> {
     CACHES.get_or_init(Mutex::default)
@@ -105,11 +109,29 @@ pub fn entries() -> u64 {
 /// `cim_core_progcache_entries`. Values are absolute process-wide
 /// totals (published as gauges so repeated publication is idempotent
 /// per scrape, not additive).
+///
+/// Each miss's host compile time goes into the
+/// `cim_core_progcache_compile_ns` histogram of the first enabled hub
+/// published to after the compile, so every miss is observed exactly
+/// once however often this runs.
 pub fn publish_metrics(hub: &cim_metrics::MetricsHub) {
     if !hub.is_enabled() {
         return;
     }
     let labels = cim_metrics::Labels::new();
+    let compiles = std::mem::take(
+        &mut *UNPUBLISHED_COMPILE_NS
+            .lock()
+            .expect("compile-time log poisoned"),
+    );
+    for ns in compiles {
+        hub.observe(
+            "cim_core_progcache_compile_ns",
+            "host time of each compiled-program cache miss, ns",
+            &labels,
+            ns,
+        );
+    }
     let (hits, misses) = stats();
     hub.set_gauge(
         "cim_core_progcache_hits",
@@ -135,12 +157,18 @@ pub fn publish_metrics(hub: &cim_metrics::MetricsHub) {
 /// `OnceLock` serializes same-key racers), everyone shares the single
 /// stored value.
 fn resolve<T: Clone>(slot: &Slot<T>, compile: impl FnOnce() -> T) -> T {
-    let mut compiled = false;
+    let mut compile_ns = None;
     let prog = slot.get_or_init(|| {
-        compiled = true;
-        compile()
+        let t0 = Instant::now();
+        let prog = compile();
+        compile_ns = Some(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        prog
     });
-    if compiled {
+    if let Some(ns) = compile_ns {
+        UNPUBLISHED_COMPILE_NS
+            .lock()
+            .expect("compile-time log poisoned")
+            .push(ns);
         MISSES.fetch_add(1, Ordering::Relaxed);
     } else {
         HITS.fetch_add(1, Ordering::Relaxed);

@@ -38,9 +38,13 @@
 //! ignores conflicts, a placement that aliases rows) proving the
 //! oracle rejects every broken rewrite.
 
+use cim_check::BitGrid;
 use cim_crossbar::{MicroOp, OpFootprint, Region};
 use std::fmt;
+use std::ops::Range;
 
+#[cfg(test)]
+mod reference;
 pub mod rowmul;
 
 /// Optimization level of the lowering pipeline.
@@ -347,39 +351,103 @@ impl MirProgram {
 /// declared reads plus, for MAGIC ops, the written cells (the gate
 /// senses its output, so the init wave that preconditions it is a
 /// true dependence).
-fn effective_reads(op: &MicroOp, fp: &OpFootprint) -> Vec<Region> {
-    let mut reads = fp.reads.clone();
-    if op.is_magic() {
-        reads.extend(fp.writes.iter().cloned());
-    }
-    reads
+fn effective_reads<'a>(op: &MicroOp, fp: &'a OpFootprint) -> impl Iterator<Item = &'a Region> {
+    let magic_writes: &[Region] = if op.is_magic() { &fp.writes } else { &[] };
+    fp.reads.iter().chain(magic_writes)
 }
 
-fn regions_intersect(a: &[Region], b: &[Region]) -> bool {
-    a.iter().any(|ra| b.iter().any(|rb| ra.intersects(rb)))
+/// A set of cells as `(row, column range)` spans sorted by row, then
+/// start column, plus a row bitmask (bit `row % 64`) that rules out
+/// most disjoint pairs before the spans are compared.
+#[derive(Debug, Clone, Default)]
+struct Spans {
+    rows: u64,
+    spans: Vec<(usize, Range<usize>)>,
+}
+
+impl Spans {
+    fn of<'a>(regions: impl IntoIterator<Item = &'a Region>) -> Self {
+        let mut set = Spans::default();
+        for region in regions {
+            if region.cols.is_empty() {
+                continue;
+            }
+            for row in region.rows.clone() {
+                set.rows |= 1 << (row % 64);
+                set.spans.push((row, region.cols.clone()));
+            }
+        }
+        set.spans
+            .sort_unstable_by_key(|(row, cols)| (*row, cols.start));
+        set
+    }
+
+    /// Whether the two sets share a cell: a merge over both sorted
+    /// span lists. Within a row, the span that ends first cannot meet
+    /// any later span of the other list, so it is the one to skip.
+    fn intersects(&self, other: &Spans) -> bool {
+        if self.rows & other.rows == 0 {
+            return false;
+        }
+        let (mut a, mut b) = (self.spans.iter().peekable(), other.spans.iter().peekable());
+        while let (Some((ra, ca)), Some((rb, cb))) = (a.peek(), b.peek()) {
+            if ra != rb {
+                if ra < rb {
+                    a.next();
+                } else {
+                    b.next();
+                }
+            } else if ca.end <= cb.start {
+                a.next();
+            } else if cb.end <= ca.start {
+                b.next();
+            } else {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// What an op reads (effectively) and writes, for hazard tests.
+#[derive(Debug, Clone)]
+struct Access {
+    reads: Spans,
+    writes: Spans,
+}
+
+impl Access {
+    fn of(op: &MicroOp) -> Self {
+        let fp = op.footprint();
+        Access {
+            reads: Spans::of(effective_reads(op, &fp)),
+            writes: Spans::of(&fp.writes),
+        }
+    }
+
+    /// Whether either op writes a cell the other reads or writes. For
+    /// `self` before `other` in program order this is a RAW, WAW or
+    /// WAR hazard; for two ops of one bundle it is exactly the
+    /// collision [`MicroOp::bundle_conflict`] rejects (a MAGIC op's
+    /// effective reads add only its own writes).
+    fn conflicts(&self, other: &Access) -> bool {
+        self.writes.intersects(&other.reads)
+            || self.writes.intersects(&other.writes)
+            || self.reads.intersects(&other.writes)
+    }
 }
 
 /// Predecessor lists of the program's dependence DAG: `deps[j]` holds
 /// every `i < j` with a RAW, WAR, or WAW hazard against `j`.
 pub fn dependence_preds(ops: &[MicroOp]) -> Vec<Vec<usize>> {
-    let fps: Vec<OpFootprint> = ops.iter().map(MicroOp::footprint).collect();
-    let reads: Vec<Vec<Region>> = ops
-        .iter()
-        .zip(&fps)
-        .map(|(op, fp)| effective_reads(op, fp))
-        .collect();
-    let mut deps = vec![Vec::new(); ops.len()];
-    for j in 0..ops.len() {
-        for i in 0..j {
-            let raw_or_waw = regions_intersect(&fps[i].writes, &reads[j])
-                || regions_intersect(&fps[i].writes, &fps[j].writes);
-            let war = regions_intersect(&reads[i], &fps[j].writes);
-            if raw_or_waw || war {
-                deps[j].push(i);
-            }
-        }
-    }
-    deps
+    let access: Vec<Access> = ops.iter().map(Access::of).collect();
+    (0..ops.len())
+        .map(|j| {
+            (0..j)
+                .filter(|&i| access[i].conflicts(&access[j]))
+                .collect()
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -391,17 +459,14 @@ pub fn dependence_preds(ops: &[MicroOp]) -> Vec<Vec<usize>> {
 /// live-out. Exposed separately so callers that track op provenance
 /// (e.g. the precompute suffix's per-addition boundaries) can re-slice
 /// after elimination.
+///
+/// The backward liveness set is a [`BitGrid`] (one bit per cell of the
+/// program's geometry; regions outside it are clipped), so each region
+/// is a few masked word operations.
 pub fn dead_write_mask(prog: &MirProgram) -> Vec<bool> {
-    let cell = |r: usize, c: usize| r * prog.cols + c;
-    let mut needed = vec![false; prog.rows * prog.cols];
+    let mut needed = BitGrid::new(prog.rows, prog.cols);
     for region in &prog.live_out {
-        for r in region.rows.clone() {
-            for c in region.cols.clone() {
-                if r < prog.rows && c < prog.cols {
-                    needed[cell(r, c)] = true;
-                }
-            }
-        }
+        needed.set(region.rows.clone(), region.cols.clone());
     }
     let mut keep = vec![true; prog.insts.len()];
     for (i, op) in prog.insts.iter().enumerate().rev() {
@@ -409,35 +474,20 @@ pub fn dead_write_mask(prog: &MirProgram) -> Vec<bool> {
         // Removable candidates: ops with no observable effect beyond
         // their writes. Reads (sensing) and bundles are kept as units.
         let removable = !matches!(op, MicroOp::ReadRow { .. } | MicroOp::Parallel(_));
-        let any_needed = fp.writes.iter().any(|w| {
-            w.rows.clone().any(|r| {
-                w.cols
-                    .clone()
-                    .any(|c| r < prog.rows && c < prog.cols && needed[cell(r, c)])
-            })
-        });
+        let any_needed = fp
+            .writes
+            .iter()
+            .any(|w| needed.any(w.rows.clone(), w.cols.clone()));
         if removable && !fp.writes.is_empty() && !any_needed {
             keep[i] = false;
             continue;
         }
         // needed = (needed − defs) ∪ uses.
         for w in &fp.writes {
-            for r in w.rows.clone() {
-                for c in w.cols.clone() {
-                    if r < prog.rows && c < prog.cols {
-                        needed[cell(r, c)] = false;
-                    }
-                }
-            }
+            needed.clear(w.rows.clone(), w.cols.clone());
         }
         for u in effective_reads(op, &fp) {
-            for r in u.rows.clone() {
-                for c in u.cols.clone() {
-                    if r < prog.rows && c < prog.cols {
-                        needed[cell(r, c)] = true;
-                    }
-                }
-            }
+            needed.set(u.rows.clone(), u.cols.clone());
         }
     }
     keep
@@ -467,30 +517,40 @@ pub fn dead_write_elim(prog: &MirProgram) -> MirProgram {
 /// Earliest-slot list scheduler: walks the instruction stream in
 /// order, places every op into the first issue slot at or after all
 /// its dependence predecessors that it can legally share (co-issue
-/// class, pairwise cell-disjointness via [`MicroOp::bundle_conflict`],
-/// bundle width ≤ `limits.partitions`), and emits multi-op slots as
-/// [`MicroOp::Parallel`] bundles. Serial-periphery ops (writes, reads,
-/// shifts) always occupy a slot alone.
+/// class, pairwise cell-disjointness as [`MicroOp::bundle_conflict`]
+/// decides it, bundle width ≤ `limits.partitions`), and emits
+/// multi-op slots as [`MicroOp::Parallel`] bundles. Serial-periphery
+/// ops (writes, reads, shifts) always occupy a slot alone.
+///
+/// Only the latest slot among an op's predecessors matters, so the
+/// scan walks back from the op and stops once no earlier op sits in a
+/// later slot than the bound found so far.
 pub fn parallel_pack(prog: &MirProgram, limits: &TileLimits) -> Vec<MicroOp> {
-    let deps = dependence_preds(&prog.insts);
-    let mut slots: Vec<Vec<MicroOp>> = Vec::new();
+    let access: Vec<Access> = prog.insts.iter().map(Access::of).collect();
+    let mut slots: Vec<Vec<usize>> = Vec::new();
     let mut slot_of = vec![0usize; prog.insts.len()];
-    for (i, op) in prog.insts.iter().enumerate() {
-        let earliest = deps[i]
-            .iter()
-            .map(|&p| slot_of[p] + 1)
-            .max()
-            .unwrap_or(0);
+    // `latest[i]`: the highest slot among ops `0..=i`.
+    let mut latest: Vec<usize> = Vec::with_capacity(prog.insts.len());
+    for (j, op) in prog.insts.iter().enumerate() {
+        let mut earliest = 0;
+        for i in (0..j).rev() {
+            if latest[i] < earliest {
+                break;
+            }
+            if slot_of[i] >= earliest && access[i].conflicts(&access[j]) {
+                earliest = slot_of[i] + 1;
+            }
+        }
         let mut chosen = None;
         if op.can_co_issue() {
             for (s, slot) in slots.iter().enumerate().skip(earliest) {
-                if slot.len() < limits.partitions && slot.iter().all(MicroOp::can_co_issue) {
-                    let mut candidate = slot.clone();
-                    candidate.push(op.clone());
-                    if MicroOp::bundle_conflict(&candidate).is_none() {
-                        chosen = Some(s);
-                        break;
-                    }
+                let fits = slot.len() < limits.partitions
+                    && slot
+                        .iter()
+                        .all(|&m| prog.insts[m].can_co_issue() && !access[m].conflicts(&access[j]));
+                if fits {
+                    chosen = Some(s);
+                    break;
                 }
             }
         }
@@ -502,17 +562,15 @@ pub fn parallel_pack(prog: &MirProgram, limits: &TileLimits) -> Vec<MicroOp> {
         // exceeded the current slot count, which cannot happen:
         // predecessors were all placed in existing slots.
         debug_assert!(s >= earliest || !slots[s].is_empty());
-        slots[s].push(op.clone());
-        slot_of[i] = s;
+        slots[s].push(j);
+        slot_of[j] = s;
+        latest.push(s.max(latest.last().copied().unwrap_or(0)));
     }
     slots
         .into_iter()
-        .map(|mut slot| {
-            if slot.len() == 1 {
-                slot.pop().expect("non-empty slot")
-            } else {
-                MicroOp::parallel(slot)
-            }
+        .map(|slot| match slot[..] {
+            [only] => prog.insts[only].clone(),
+            _ => MicroOp::parallel(slot.iter().map(|&i| prog.insts[i].clone()).collect()),
         })
         .collect()
 }
